@@ -19,7 +19,6 @@
 #include "sensor/sensor.h"
 #include "sim/experiment.h"
 #include "thermal/model_builder.h"
-#include "thermal/simd.h"
 #include "thermal/sparse.h"
 #include "util/units.h"
 #include "thermal/solver.h"
@@ -174,40 +173,6 @@ void BM_ThermalFusedStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalFusedStep);
 
-// The fused step under an explicitly selected SIMD backend: arg 0 pins
-// the scalar reference kernels, arg 1 the backend the dispatcher picked
-// at startup (label shows which — on a machine without vector support
-// both legs run scalar). The ratio of the two legs is the measured
-// vectorisation speedup of the thermal hot loop.
-void BM_ThermalFusedStepSimd(benchmark::State& state) {
-  namespace simd = thermal::simd;
-  const simd::Backend prev = simd::active_backend();
-  const simd::Backend backend =
-      state.range(0) == 0 ? simd::Backend::kScalar : prev;
-  simd::set_backend_for_test(backend);
-  const auto fp = floorplan::ev7_floorplan();
-  const auto model = thermal::build_thermal_model(fp, thermal::Package{});
-  thermal::TransientSolver solver(model.network, util::Celsius(45.0),
-                                  thermal::Scheme::kFusedBE);
-  thermal::Vector power(model.network.size(), 0.0);
-  for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
-  solver.step(power, util::Seconds(3.3e-6));  // warm: build the operator
-  const std::uint64_t allocs_before =
-      g_heap_allocs.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    solver.step(power, util::Seconds(3.3e-6));
-  }
-  const std::uint64_t allocs =
-      g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-  state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_step"] =
-      static_cast<double>(allocs) /
-      static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
-  state.SetLabel(simd::backend_name(backend));
-  simd::set_backend_for_test(prev);
-}
-BENCHMARK(BM_ThermalFusedStepSimd)->ArgName("vector")->Arg(0)->Arg(1);
-
 // Sparse LDL^T factorisation of the 16-core die step matrix (CSR
 // assembly + minimum-degree ordering + numeric factor): the
 // factorise-once cost the sparse path pays per distinct rounded dt,
@@ -230,12 +195,12 @@ void BM_SparseCholeskyFactor(benchmark::State& state) {
 BENCHMARK(BM_SparseCholeskyFactor)->Unit(benchmark::kMillisecond);
 
 // One sparse backward-Euler step on the 16-core die (rhs build + LDL^T
-// substitution through the gather-dot kernels). Shares the fused-path
-// contract that the warmed per-step path never allocates. Compare
-// against BM_DieStep/cores:16's dense leg for the crossover evidence.
+// substitution through the gather-dot kernel; the 298-node die is past
+// the crossover, so the default dispatch steps sparsely). Shares the
+// fused-path contract that the warmed per-step path never allocates.
+// Compare against BM_DieStep/cores:16's dense leg for the crossover
+// evidence.
 void BM_SparseStep(benchmark::State& state) {
-  const thermal::SparseMode prev = thermal::sparse_mode();
-  thermal::set_sparse_mode_for_test(thermal::SparseMode::kOn);
   const auto fp = floorplan::multicore_floorplan(16);
   const auto model = thermal::build_thermal_model(fp, thermal::Package{});
   thermal::TransientSolver solver(model.network, util::Celsius(45.0),
@@ -255,7 +220,6 @@ void BM_SparseStep(benchmark::State& state) {
       static_cast<double>(allocs) /
       static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.counters["sparse_path"] = solver.sparse_path() ? 1.0 : 0.0;
-  thermal::set_sparse_mode_for_test(prev);
 }
 BENCHMARK(BM_SparseStep);
 
@@ -265,7 +229,6 @@ BENCHMARK(BM_SparseStep);
 // wins from 4 cores up and the gap widens superlinearly (the fused step
 // is O(n^2), the substitution O(nnz(L)) ~ O(n)).
 void BM_DieStep(benchmark::State& state) {
-  const thermal::SparseMode prev = thermal::sparse_mode();
   thermal::set_sparse_mode_for_test(state.range(1) == 0
                                         ? thermal::SparseMode::kOff
                                         : thermal::SparseMode::kOn);
@@ -290,7 +253,7 @@ void BM_DieStep(benchmark::State& state) {
       static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
   state.counters["nodes"] = static_cast<double>(model.network.size());
   state.SetLabel(solver.sparse_path() ? "sparse" : "dense");
-  thermal::set_sparse_mode_for_test(prev);
+  thermal::set_sparse_mode_for_test(thermal::SparseMode::kAuto);
 }
 BENCHMARK(BM_DieStep)
     ->ArgNames({"cores", "sparse"})
@@ -428,43 +391,6 @@ BENCHMARK(BM_SuiteParallel)
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-// Lockstep-batched sweep vs the serial per-run path: eight fresh sweep
-// points (four benchmarks x two policies, one shared thermal model)
-// through run_points with the argument as batch width (0 disables
-// batching). A fresh runner per iteration keeps memoization from
-// short-circuiting repeats; the single-threaded pool isolates the
-// batching gain from pool parallelism. items/s is sweep points per
-// second.
-void BM_BatchedSweep(benchmark::State& state) {
-  const sim::SimConfig cfg = short_sim_config();
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::vector<sim::PointSpec> points;
-  for (const char* bench : {"gzip", "crafty", "vortex", "gcc"}) {
-    const workload::WorkloadProfile profile =
-        workload::spec2000_profile(bench);
-    points.push_back({profile, sim::PolicyKind::kHybrid, {}, cfg});
-    points.push_back({profile, sim::PolicyKind::kDvs, {}, cfg});
-  }
-  std::size_t groups = 0;
-  for (auto _ : state) {
-    util::ThreadPool pool(1);
-    sim::ExperimentRunner runner(cfg, &pool);
-    runner.set_batch_width(width);
-    benchmark::DoNotOptimize(runner.run_points(points));
-    groups = runner.last_batched_groups();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(points.size()));
-  state.counters["batched_groups"] = static_cast<double>(groups);
-}
-BENCHMARK(BM_BatchedSweep)
-    ->ArgName("batch")
-    ->Arg(0)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -23,11 +23,10 @@ Rules (each has a stable id used in the allowlist):
   (System keeps one reference loop for the bit-identity check — it is
   allowlisted.)
 * ``no-unaligned-simd-load`` — raw vector load/store intrinsics
-  (``_mm256_loadu_pd``, ``vld1q_f64``, ...) may appear only inside the
-  ``src/thermal/simd`` shim.  The shim centralises runtime dispatch, the
-  scalar twin, and the unaligned-vs-aligned tradeoff (plain std::vector
-  storage keeps the benches' allocation counters honest); an intrinsic
-  anywhere else forks that contract.
+  (``_mm256_loadu_pd``, ``vld1q_f64``, ...) are banned in src/.  The
+  thermal kernels are the scalar fixed-order pair in thermal/linalg.h
+  (four fma term classes, fixed reduction tree); a hand-vectorised
+  kernel anywhere forks that bit-identity contract.
 * ``no-bare-catch`` — a ``catch (...)`` handler in src/ must either
   propagate the exception (``throw;``, ``std::current_exception`` into
   a promise/``rethrow_exception``) or visibly record it (an obs counter
@@ -108,8 +107,8 @@ KELVIN_LITERAL = re.compile(r"273\.15|[-+]\s*273(?:\.0*)?\b")
 IDLE_CYCLE_CALL = re.compile(r"\bidle_cycle\s*\(")
 LOOP_HEADER = re.compile(r"\b(for|while)\s*\(")
 
-# Raw x86/NEON vector load/store intrinsics; legal only in the
-# src/thermal/simd shim, which owns dispatch and the bit-identity twin.
+# Raw x86/NEON vector load/store intrinsics; banned in src/, where the
+# thermal kernels are scalar with a fixed operation order.
 SIMD_LOAD_STORE = re.compile(
     r"\b_mm\d*_(?:loadu|load|storeu|store|stream)_\w+\s*\(|"
     r"\bvld\dq?_\w+\s*\(|\bvst\dq?_\w+\s*\(")
@@ -330,15 +329,14 @@ def lint_file(path, rel, allow):
                         "loop over idle_cycle(); use the O(1) "
                         "Core::idle_cycles(n) bulk advance"))
 
-        if in_src and not rel.startswith("src/thermal/simd"):
+        if in_src:
             m = SIMD_LOAD_STORE.search(line)
             if m and ("no-unaligned-simd-load", rel) not in allow:
                 findings.append((
                     "no-unaligned-simd-load", where,
                     f"raw vector intrinsic '{m.group(0).strip('( ')}' "
-                    "outside src/thermal/simd; route kernels through the "
-                    "thermal::simd shim (dispatch + scalar twin live "
-                    "there)"))
+                    "in src/; use the fixed-order scalar kernels in "
+                    "thermal/linalg.h (matvec, gather_dot)"))
 
         if in_src:
             m = AMBIENT_RNG.search(line)

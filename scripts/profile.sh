@@ -22,7 +22,7 @@
 # --bench profiles a microbenchmark binary (e.g. micro_perf) instead of
 # the end-to-end hydra_run simulation; remaining arguments go straight to
 # the benchmark, so `scripts/profile.sh --bench micro_perf
-# --benchmark_filter=BM_ThermalFusedStepSimd` isolates one kernel.
+# --benchmark_filter=BM_ThermalFusedStep` isolates one kernel.
 # The sparse-path kernels profile the same way:
 #   scripts/profile.sh --bench micro_perf --benchmark_filter=BM_SparseStep
 #   scripts/profile.sh --bench micro_perf \

@@ -201,7 +201,7 @@ class MulticoreSystem {
   /// system's first run is unchanged).
   bool probe_cached_ = false;
   /// Route the steady-state fixed point through the sparse Cholesky of
-  /// G when the die is past the HYDRA_SPARSE crossover (resolved once;
+  /// G when the die is past the sparse crossover (resolved once;
   /// matches the solver's own step dispatch).
   bool use_sparse_ = false;
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "thermal/simd.h"
-
 namespace hydra::thermal {
 
 Matrix Matrix::identity(std::size_t n) {
@@ -27,7 +25,7 @@ void Matrix::multiply_into(const Vector& x, Vector& y) const {
     throw std::invalid_argument("multiply_into: y must not alias x");
   }
   y.resize(rows_);
-  simd::matvec(data_.data(), rows_, cols_, x.data(), y.data());
+  matvec(data_.data(), rows_, cols_, x.data(), y.data());
 }
 
 LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
@@ -98,6 +96,27 @@ void LuFactorization::solve_into(const Vector& b, Vector& x) const {
 
 Vector solve_linear(Matrix a, const Vector& b) {
   return LuFactorization(std::move(a)).solve(b);
+}
+
+void matvec(const double* a, std::size_t rows, std::size_t cols,
+            const double* x, double* y) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* row = a + r * cols;
+    double s[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t c = 0; c < cols; ++c) {
+      s[c & 3] = std::fma(row[c], x[c], s[c & 3]);
+    }
+    y[r] = (s[0] + s[2]) + (s[1] + s[3]);
+  }
+}
+
+double gather_dot(const double* vals, const std::int32_t* idx,
+                  std::size_t nnz, const double* x) {
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t p = 0; p < nnz; ++p) {
+    s[p & 3] = std::fma(vals[p], x[idx[p]], s[p & 3]);
+  }
+  return (s[0] + s[2]) + (s[1] + s[3]);
 }
 
 }  // namespace hydra::thermal

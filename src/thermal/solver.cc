@@ -120,8 +120,6 @@ const FusedStepOperator& LuCache::fused(double dt) const {
         op->m(i, j) = col[i] * c_over_dt;
       }
     }
-    op->pm = simd::PackedMatrix(n, n, &op->m(0, 0));
-    op->pn = simd::PackedMatrix(n, n, &op->n(0, 0));
     it = fused_cache_.emplace(dt, std::move(op)).first;
   }
   return *it->second;
@@ -189,8 +187,6 @@ TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
       k4_(net.size()),
       tmp_(net.size()),
       flow_(net.size()),
-      rise_pad_(simd::padded_size(net.size()), 0.0),
-      pow_pad_(simd::padded_size(net.size()), 0.0),
       chol_work_(net.size()) {
   use_sparse_ = scheme_ == Scheme::kFusedBE && use_sparse_step(net.size());
 }
@@ -282,18 +278,15 @@ void TransientSolver::step_fused_be(const Vector& power, double dt) {
     last_fused_ = &lu_cache_->fused(dt);
     last_fused_dt_ = dt;
   }
-  // rise' = M rise + N P over the packed padded-row operators — all
-  // scratch preallocated, so the steady-state path allocates nothing
-  // (the operator itself is built on first use).
-  // The candidate update is validated in scratch before celsius_ is
-  // touched, so a rejected step leaves the state exactly as it was and
-  // the LU fallback recomputes the same step from the same inputs.
-  for (std::size_t i = 0; i < n; ++i) {
-    rise_pad_[i] = celsius_[i] - ambient_;
-    pow_pad_[i] = power[i];
-  }
-  simd::packed_matvec(last_fused_->pm, rise_pad_.data(), tmp_.data());
-  simd::packed_matvec(last_fused_->pn, pow_pad_.data(), rhs_.data());
+  // rise' = M rise + N P — all scratch preallocated, so the
+  // steady-state path allocates nothing (the operator itself is built
+  // on first use). The candidate update is validated in scratch before
+  // celsius_ is touched, so a rejected step leaves the state exactly as
+  // it was and the LU fallback recomputes the same step from the same
+  // inputs.
+  for (std::size_t i = 0; i < n; ++i) rise_[i] = celsius_[i] - ambient_;
+  matvec(last_fused_->m.data(), n, n, rise_.data(), tmp_.data());
+  matvec(last_fused_->n.data(), n, n, power.data(), rhs_.data());
   if (inject_fused_fault_) {
     inject_fused_fault_ = false;
     tmp_[0] = std::numeric_limits<double>::quiet_NaN();
@@ -352,9 +345,8 @@ void TransientSolver::step_sparse_be(const Vector& power, double dt) {
   }
   // rhs = (C/dt) rise + P, then one LDL^T substitution — all scratch
   // preallocated, so the steady-state path allocates nothing. The
-  // explicit fma keeps the rhs arithmetic identical to the batched
-  // panel stepper's (bit-identity depends on it; the compiler may or
-  // may not contract a * b + c on its own).
+  // explicit fma pins the rhs arithmetic (the compiler may or may not
+  // contract a * b + c on its own).
   const Vector& c_over_dt = last_sparse_->c_over_dt;
   for (std::size_t i = 0; i < n; ++i) {
     rhs_[i] = std::fma(c_over_dt[i], celsius_[i] - ambient_, power[i]);

@@ -8,7 +8,6 @@
 
 #include "thermal/linalg.h"
 #include "thermal/rc_network.h"
-#include "thermal/simd.h"
 #include "thermal/sparse.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
@@ -62,20 +61,14 @@ enum class Scheme {
 struct FusedStepOperator {
   Matrix m;  ///< multiplies the current temperature rise
   Matrix n;  ///< multiplies the power vector
-  /// Padded-row packed twins of m and n (built alongside them in
-  /// LuCache::fused): the per-step kernels and the batched panel
-  /// stepper run on these so the inner loops are tail-free stride-1
-  /// FMA. Values agree with m/n bit for bit; padding is exact zeros.
-  simd::PackedMatrix pm;
-  simd::PackedMatrix pn;
 };
 
 /// Sparse backward-Euler step state for one (rounded) dt: the LDL^T
 /// factor of C/dt + G plus the C/dt diagonal that forms the right-hand
 /// side. Each step is rhs = (C/dt) rise + P followed by one sparse
 /// substitution — O(nnz(L)) where the fused path is O(n^2) — at the
-/// cost of a sequential (not panel-free) dependency chain, which is why
-/// small models keep the dense path (see sparse.h, use_sparse_step).
+/// cost of a sequential dependency chain, which is why small models
+/// keep the dense path (see sparse.h, use_sparse_step).
 struct SparseStepOperator {
   SparseCholesky chol;
   Vector c_over_dt;
@@ -89,15 +82,14 @@ struct SparseStepOperator {
 /// cached factorisations. The rounded dt is used for the integration
 /// itself, keeping matrix and right-hand side consistent (sub-percent
 /// step-length error, negligible against the ms-scale time constants).
-/// Shared by both backward-Euler paths — and by the batched sweep
-/// driver, which groups lockstep lanes by this exact value — so they
-/// all key the same cache entries and integrate identical step lengths.
+/// Shared by every backward-Euler path, so they all key the same cache
+/// entries and integrate identical step lengths.
 double round_step_dt(double dt);
 
-/// Guard bound shared by the fused-BE step and the batched stepper: a
-/// temperature rise beyond this is divergence, not physics (silicon
-/// melts three orders of magnitude earlier). Deliberately loose so the
-/// guard can never veto a legitimate transient.
+/// Guard bound shared by the fused and sparse steps: a temperature rise
+/// beyond this is divergence, not physics (silicon melts three orders of
+/// magnitude earlier). Deliberately loose so the guard can never veto a
+/// legitimate transient.
 inline constexpr double kMaxPlausibleRise = 1.0e6;
 
 /// Thread-safe cache of the factorisations a thermal network needs:
@@ -229,7 +221,7 @@ class TransientSolver {
   double last_sparse_dt_ = 0.0;
   const SparseStepOperator* last_sparse_ = nullptr;
   /// kFusedBE routes through the sparse path for this model (decided
-  /// once at construction from the HYDRA_SPARSE policy + node count).
+  /// once at construction from the node count, use_sparse_step).
   bool use_sparse_ = false;
   // Fast-path numerical guard state, shared by the fused and sparse
   // steps (see step_fused_be / step_sparse_be).
@@ -240,10 +232,6 @@ class TransientSolver {
   Vector rhs_;
   Vector rise_;
   Vector k1_, k2_, k3_, k4_, tmp_, flow_;
-  // Padded inputs for the packed fused-BE kernels: sized to the packed
-  // stride with the tail zeroed once, so the SIMD inner loop never
-  // needs a tail pass (padding terms are exact fma no-ops).
-  Vector rise_pad_, pow_pad_;
   // Substitution scratch for the sparse step/steady solves.
   Vector chol_work_;
 };

@@ -6,9 +6,9 @@
 // while the dense fused-BE operator is a full n x n inverse. This
 // module provides the CSR matrix type, a sparse LDL^T (Cholesky)
 // factorisation with a fill-reducing minimum-degree ordering, and the
-// HYDRA_SPARSE dispatch policy that decides when the solver should
-// factorise-once + substitute per step instead of running the dense
-// fused two-matvec path.
+// node-count dispatch that decides when the solver should factorise
+// once + substitute per step instead of running the dense fused
+// two-matvec path.
 //
 // Why LDL^T applies: G is a weighted graph Laplacian plus a nonnegative
 // ambient-tie diagonal, hence symmetric positive semidefinite, and the
@@ -19,12 +19,11 @@
 // order, which the minimum-degree preorder keeps near O(n) for these
 // stencil-plus-star graphs.
 //
-// The triangular substitutions run on thermal::simd::gather_dot /
-// panel_gather_dot, so the sparse path inherits the virtual-lane
-// bit-identity contract: results are bit-identical across
-// scalar/AVX2/NEON backends and between serial and batched (panel)
-// solves. Solving is read-only and allocation-free (caller-provided
-// scratch), so one factorisation serves many threads concurrently.
+// The triangular substitutions run on thermal::gather_dot, so the
+// sparse path follows the same fixed-order arithmetic as the dense
+// kernels (linalg.h). Solving is read-only and allocation-free
+// (caller-provided scratch), so one factorisation serves many threads
+// concurrently.
 #pragma once
 
 #include <cstddef>
@@ -35,9 +34,8 @@
 
 namespace hydra::thermal {
 
-/// Compressed sparse row matrix. Column indices are int32 so the AVX2
-/// gather kernels can consume them directly; thermal models are far
-/// below 2^31 nodes.
+/// Compressed sparse row matrix. Column indices are int32 (the gather
+/// kernel's index type); thermal models are far below 2^31 nodes.
 struct CsrMatrix {
   std::size_t rows = 0;
   std::size_t cols = 0;
@@ -71,18 +69,8 @@ class SparseCholesky {
   std::size_t factor_nnz() const { return lcol_row_.size(); }
 
   /// Solve A x = b. `b`, `x` and `work` are size() arrays; `work` is
-  /// scratch and must not alias `b` (x may alias b). Arithmetic per
-  /// element follows the simd virtual-lane contract, so the result is
-  /// bit-identical across backends.
+  /// scratch and must not alias `b` (x may alias b).
   void solve_into(const double* b, double* x, double* work) const;
-
-  /// Panel solve for K lockstep lanes in column-major panels
-  /// (element c of lane k at [c * width + k], width a multiple of
-  /// simd::kLaneWidth). `work` is a size()*width panel, `row_tmp` holds
-  /// `width` doubles. Lane k's arithmetic is exactly solve_into()'s
-  /// operation sequence, so batched solves are bit-identical to serial.
-  void panel_solve_into(const double* b, std::size_t width, double* x,
-                        double* work, double* row_tmp) const;
 
  private:
   std::size_t n_ = 0;
@@ -100,31 +88,20 @@ class SparseCholesky {
   std::vector<double> d_;  ///< positive pivots of D
 };
 
-/// HYDRA_SPARSE dispatch policy: `auto` (default) switches to the
-/// sparse path at the measured crossover node count, `on` forces it for
-/// every model, `off` pins the dense fused path (the CI validation-twin
-/// leg, mirroring HYDRA_SIMD=scalar). Unknown values read as auto.
+/// Node count at or above which the solver steps sparsely: the
+/// empirical crossover from bench/micro_perf's BM_ThermalFusedStep vs
+/// BM_SparseStep (DESIGN.md section 17). The 28-node single-core model
+/// stays dense; the 82-node 4-core die and larger go sparse.
+inline constexpr std::size_t kSparseCrossoverNodes = 64;
+
+/// Test seam for comparing the two paths in one process: kAuto (the
+/// default) applies kSparseCrossoverNodes, kOn forces the sparse path
+/// for every model, kOff pins the dense fused path.
 enum class SparseMode { kAuto, kOn, kOff };
-
-SparseMode sparse_mode();
-const char* sparse_mode_name(SparseMode m);
-
-/// Test seam: override the HYDRA_SPARSE resolution (sparse_test flips
-/// modes inside one process to compare the paths).
 void set_sparse_mode_for_test(SparseMode m);
 
-/// Node count at or above which `auto` picks the sparse path. The
-/// default is the empirical crossover from bench/micro_perf's
-/// BM_ThermalFusedStep vs BM_SparseStep (see DESIGN.md section 17);
-/// HYDRA_SPARSE_CROSSOVER overrides it.
-std::size_t sparse_crossover_nodes();
-
-/// Test seam: override the crossover (restored by passing 0 = re-read
-/// the environment/default).
-void set_sparse_crossover_for_test(std::size_t nodes);
-
-/// The dispatch predicate the solver, batched stepper and multicore
-/// init all consult: should a `nodes`-node model step sparsely?
+/// The dispatch predicate the solver and multicore init consult: should
+/// a `nodes`-node model step sparsely?
 bool use_sparse_step(std::size_t nodes);
 
 }  // namespace hydra::thermal

@@ -1,8 +1,15 @@
 // Parallel experiment engine: determinism across pool widths, cache-key
-// separation, config-keyed baselines, and memoization accounting.
+// separation, config-keyed baselines, memoization accounting, and the
+// thread budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/obs.h"
@@ -221,6 +228,58 @@ TEST(EngineObservability, TracingDoesNotChangeResults) {
     expect_identical(plain[i].dtm, traced[i].dtm);
     expect_identical(plain[i].baseline, traced[i].baseline);
   }
+}
+
+#if defined(__linux__)
+/// The kernel's live thread count for this process.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+#endif
+
+// A sweep runs every point on the runner's pool and starts no thread of
+// its own: on a width-1 pool the process never holds more threads than
+// it did before the sweep, plus the sampler that watches it.
+TEST(EngineThreadBudget, SweepStartsNoThreadsOutsideThePool) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads the thread count from /proc/self/status";
+#else
+  const SimConfig cfg = short_config();
+  std::vector<PointSpec> points;
+  for (const char* bench : {"gzip", "crafty", "vortex", "gcc"}) {
+    points.push_back(
+        {workload::spec2000_profile(bench), PolicyKind::kHybrid, {}, cfg});
+  }
+
+  util::ThreadPool pool(1);
+  ExperimentRunner runner(cfg, &pool);
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+
+  // Only the sampler writes `peak`; join() publishes it to this thread.
+  std::atomic<bool> done{false};
+  int peak = 0;
+  std::thread sampler([&] {
+    do {
+      peak = std::max(peak, process_threads());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (!done.load());
+  });
+  const std::vector<ExperimentResult> results = runner.run_points(points);
+  done.store(true);
+  sampler.join();
+
+  ASSERT_EQ(results.size(), points.size());
+  EXPECT_EQ(runner.cache_stats().misses, 2 * points.size());
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, before + 1)
+      << "threads started outside the pool during the sweep";
+#endif
 }
 
 }  // namespace

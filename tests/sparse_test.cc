@@ -2,9 +2,9 @@
 // match the dense conductance matrix entry for entry; the sparse LDL^T
 // must agree with the dense LU to solver round-off; full fused-BE runs
 // with the sparse path on must track the dense runs to <= 1e-9 degC
-// over randomized floorplans and the rounded-dt set; batched (panel)
-// sparse solves must be bit-identical to serial ones; the divergence
-// guard must fall back to the LU reference path; and a many-core run
+// over randomized floorplans and the rounded-dt set; the node count
+// alone must pick the path; the divergence guard must fall back to the
+// LU reference path; and a many-core run
 // with the sparse path pinned on must stay bit-identical across worker
 // widths.
 #include <gtest/gtest.h>
@@ -14,15 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "floorplan/ev7.h"
 #include "floorplan/multicore.h"
 #include "sim/experiment.h"
 #include "sim/multicore.h"
 #include "sim/persistent_cache.h"
 #include "sim/system.h"
-#include "thermal/batch.h"
 #include "thermal/model_builder.h"
 #include "thermal/rc_network.h"
-#include "thermal/simd.h"
 #include "thermal/solver.h"
 #include "thermal/sparse.h"
 #include "util/rng.h"
@@ -30,14 +29,15 @@
 namespace hydra {
 namespace {
 
-/// Pins the HYDRA_SPARSE dispatch for one test and restores it on exit.
+/// Pins the sparse dispatch for one test and restores the node-count
+/// default on exit.
 struct SparseModeGuard {
-  explicit SparseModeGuard(thermal::SparseMode m)
-      : prev(thermal::sparse_mode()) {
+  explicit SparseModeGuard(thermal::SparseMode m) {
     thermal::set_sparse_mode_for_test(m);
   }
-  ~SparseModeGuard() { thermal::set_sparse_mode_for_test(prev); }
-  thermal::SparseMode prev;
+  ~SparseModeGuard() {
+    thermal::set_sparse_mode_for_test(thermal::SparseMode::kAuto);
+  }
 };
 
 /// Random connected RC network (the property_test generator): spanning
@@ -194,24 +194,32 @@ TEST(SparseCholesky, RejectsInvalidMatrices) {
 // ------------------------------------------------------------ dispatch
 
 TEST(SparseDispatch, ModeAndCrossoverControlThepredicate) {
+  // By default the node count alone decides: the single-core model
+  // steps dense, the 4- and 16-core dies step sparse.
+  const auto nodes = [](const floorplan::Floorplan& fp) {
+    return thermal::build_thermal_model(fp, thermal::Package{})
+        .network.size();
+  };
+  const std::size_t single = nodes(floorplan::ev7_floorplan());
+  const std::size_t four = nodes(floorplan::multicore_floorplan(4));
+  const std::size_t sixteen = nodes(floorplan::multicore_floorplan(16));
+  EXPECT_EQ(single, 28u);
+  EXPECT_EQ(four, 82u);
+  EXPECT_EQ(sixteen, 298u);
+  EXPECT_FALSE(thermal::use_sparse_step(single));
+  EXPECT_TRUE(thermal::use_sparse_step(four));
+  EXPECT_TRUE(thermal::use_sparse_step(sixteen));
+  EXPECT_FALSE(thermal::use_sparse_step(thermal::kSparseCrossoverNodes - 1));
+  EXPECT_TRUE(thermal::use_sparse_step(thermal::kSparseCrossoverNodes));
   {
     SparseModeGuard on(thermal::SparseMode::kOn);
-    EXPECT_TRUE(thermal::use_sparse_step(1));
+    EXPECT_TRUE(thermal::use_sparse_step(single));
   }
   {
     SparseModeGuard off(thermal::SparseMode::kOff);
-    EXPECT_FALSE(thermal::use_sparse_step(1'000'000));
+    EXPECT_FALSE(thermal::use_sparse_step(sixteen));
   }
-  {
-    SparseModeGuard autod(thermal::SparseMode::kAuto);
-    thermal::set_sparse_crossover_for_test(100);
-    EXPECT_FALSE(thermal::use_sparse_step(99));
-    EXPECT_TRUE(thermal::use_sparse_step(100));
-    thermal::set_sparse_crossover_for_test(0);  // restore env/default
-  }
-  EXPECT_STREQ(thermal::sparse_mode_name(thermal::SparseMode::kAuto), "auto");
-  EXPECT_STREQ(thermal::sparse_mode_name(thermal::SparseMode::kOn), "on");
-  EXPECT_STREQ(thermal::sparse_mode_name(thermal::SparseMode::kOff), "off");
+  EXPECT_TRUE(thermal::use_sparse_step(sixteen));
 }
 
 // --------------------------------- full-run sparse-vs-dense tolerance
@@ -284,47 +292,6 @@ TEST(SparseVsDense, SixteenCoreDieFullRunWithin1e9) {
   }
 }
 
-// ----------------------------------------- batched-panel bit identity
-
-// BatchedThermalState::step(SparseStepOperator) must produce, for every
-// lane, exactly the serial sequence: rhs = fma(C/dt, rise, P), then one
-// solve_into. Bit identity (EXPECT_EQ on doubles), not tolerance.
-TEST(SparseBatch, PanelStepBitIdenticalToSerialSolve) {
-  const auto fp = floorplan::multicore_floorplan(4);
-  const auto model = thermal::build_thermal_model(fp, thermal::Package{});
-  const std::size_t n = model.network.size();
-  const thermal::LuCache cache(model.network);
-  const thermal::SparseStepOperator& op =
-      cache.sparse(thermal::round_step_dt(1e-4));
-
-  const std::size_t width = thermal::simd::kLaneWidth;
-  thermal::BatchedThermalState state(n, width);
-  util::Rng rng(0xba7cULL);
-  std::vector<thermal::Vector> rises(width);
-  std::vector<thermal::Vector> powers(width);
-  for (std::size_t k = 0; k < width; ++k) {
-    rises[k] = random_power(rng, n);
-    powers[k] = random_power(rng, n);
-    state.load_lane(k, rises[k].data(), powers[k].data());
-  }
-  state.step(op);
-
-  thermal::Vector rhs(n, 0.0);
-  thermal::Vector want(n, 0.0);
-  thermal::Vector work(n, 0.0);
-  thermal::Vector got(n, 0.0);
-  for (std::size_t k = 0; k < width; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rhs[i] = std::fma(op.c_over_dt[i], rises[k][i], powers[k][i]);
-    }
-    op.chol.solve_into(rhs.data(), want.data(), work.data());
-    state.store_lane(k, got.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], want[i]) << "lane " << k << ", node " << i;
-    }
-  }
-}
-
 // ------------------------------------------------- guard-trip fallback
 
 // A poisoned sparse step must trip the divergence guard, fall back to
@@ -364,7 +331,7 @@ TEST(SparseGuard, TripFallsBackToLuBitIdentical) {
 // The intra-run parallelism contract must survive the sparse path: a
 // 4-core hybrid-DTM run pinned to sparse stepping is bit-identical at
 // 1, 4 and 8 pool workers (mirrors Multicore.BitIdenticalAcrossWorkerWidths,
-// which runs whatever dispatch HYDRA_SPARSE picks).
+// which runs whatever dispatch the node count picks).
 TEST(SparseMulticore, BitIdenticalAcrossWorkerWidths) {
   SparseModeGuard guard(thermal::SparseMode::kOn);
   const auto run_at_width = [](std::size_t threads) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "floorplan/ev7.h"
 #include "thermal/linalg.h"
@@ -141,6 +144,69 @@ TEST(Linalg, MultiplyIntoDegenerateShapes) {
   EXPECT_DOUBLE_EQ(y[0], 3.0);
   EXPECT_DOUBLE_EQ(y[1], 5.0);
   EXPECT_DOUBLE_EQ(y[2], 1.0);
+}
+
+// Hand-written twin of the fixed-order contract (linalg.h): class j
+// sums terms j, j + 4, j + 8, ... with a correctly rounded fma, then
+// the classes reduce as (s0 + s2) + (s1 + s3).
+double four_class_dot(const double* v, const double* x, std::size_t n) {
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t j = 0; j < 4; ++j) {
+    for (std::size_t p = j; p < n; p += 4) s[j] = std::fma(v[p], x[p], s[j]);
+  }
+  return (s[0] + s[2]) + (s[1] + s[3]);
+}
+
+// matvec and gather_dot must run exactly that operation sequence over
+// every awkward shape (empty, single row/column, sizes that are not
+// multiples of four). EXPECT_EQ on doubles: bit identity, not tolerance.
+TEST(LinalgKernel, FourClassFmaOrderMatchesReference) {
+  // A row whose answer depends on the order: a left-to-right sum
+  // cancels one of the ones ((1e16 + 1) - 1e16 + 1 == 1), the class
+  // tree keeps both ((1e16 - 1e16) + (1 + 1) == 2).
+  const double order_row[] = {1e16, 1.0, -1e16, 1.0};
+  const double ones[] = {1.0, 1.0, 1.0, 1.0};
+  double y = 0.0;
+  matvec(order_row, 1, 4, ones, &y);
+  EXPECT_EQ(y, 2.0);
+  const std::int32_t iota[] = {0, 1, 2, 3};
+  EXPECT_EQ(gather_dot(order_row, iota, 4, ones), 2.0);
+
+  std::mt19937 rng(1234);
+  std::uniform_real_distribution<double> dist(-2.0, 2.0);
+  const auto random_values = [&](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& e : v) e = dist(rng);
+    return v;
+  };
+  const std::size_t shapes[][2] = {{0, 0}, {1, 1}, {1, 7},  {7, 1},
+                                   {2, 3}, {3, 5}, {4, 4},  {5, 9},
+                                   {8, 8}, {9, 13}, {16, 16}, {33, 40}};
+  for (const auto& shape : shapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    const std::vector<double> a = random_values(rows * cols);
+    const std::vector<double> x = random_values(cols);
+    std::vector<double> got(rows, -1.0);
+    matvec(a.data(), rows, cols, x.data(), got.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(got[r], four_class_dot(&a[r * cols], x.data(), cols))
+          << "matvec " << rows << "x" << cols << " row " << r;
+    }
+
+    // gather_dot over a scattered index set of `cols` terms into a
+    // vector twice as long, against the reference on the gathered x.
+    const std::vector<double> wide = random_values(2 * cols + 1);
+    std::vector<std::int32_t> idx(cols);
+    std::vector<double> gathered(cols);
+    for (std::size_t p = 0; p < cols; ++p) {
+      idx[p] = static_cast<std::int32_t>((7 * p + 3) % wide.size());
+      gathered[p] = wide[static_cast<std::size_t>(idx[p])];
+    }
+    const std::vector<double> vals = random_values(cols);
+    EXPECT_EQ(gather_dot(vals.data(), idx.data(), cols, wide.data()),
+              four_class_dot(vals.data(), gathered.data(), cols))
+        << "gather_dot nnz " << cols;
+  }
 }
 
 // -------------------------------------------------------------- network
