@@ -37,12 +37,6 @@ std::string policy_kind_name(PolicyKind kind) {
   return "?";
 }
 
-power::DvsLadder make_ladder(const SimConfig& cfg) {
-  const power::VoltageFrequencyCurve curve(cfg.v_nominal, cfg.f_nominal,
-                                           cfg.v_threshold, cfg.vf_alpha);
-  return power::DvsLadder(curve, cfg.dvs_steps, cfg.v_low_fraction);
-}
-
 std::vector<std::vector<std::size_t>> sensor_adjacency() {
   const floorplan::Floorplan fp = floorplan::ev7_floorplan();
   std::vector<std::vector<std::size_t>> neighbors(fp.size());
@@ -389,6 +383,20 @@ void hash_params(util::HashSink& h, const PolicyParams& p) {
       .f64(g.pessimism_bias);
 }
 
+/// Runs one point on the engine its core count selects: the single-tile
+/// System, or the barrier-stepped die with one policy instance per tile
+/// (per-tile controller state must not be shared).
+RunResult simulate(const workload::WorkloadProfile& profile,
+                   const SimConfig& cfg, const PolicyFactory& factory,
+                   const std::string& label, const util::CancelToken& token) {
+  if (cfg.multicore.cores > 1) {
+    MulticoreSystem system(profile, cfg, factory, label);
+    return system.run(&token).aggregate;
+  }
+  System system(profile, cfg, factory ? factory() : nullptr);
+  return system.run(&token);
+}
+
 }  // namespace
 
 std::uint64_t config_hash(const SimConfig& cfg) {
@@ -452,12 +460,7 @@ RunCache::Future ExperimentRunner::submit_baseline(
         // trace shows pool occupancy per thread.
         const obs::ScopedSpan span(obs::tracer(), "engine", "run",
                                    profile.name + "/baseline");
-        if (bcfg.multicore.cores > 1) {
-          MulticoreSystem system(profile, bcfg, nullptr, "baseline");
-          return system.run(&token).aggregate;
-        }
-        System system(profile, bcfg, nullptr);
-        return system.run(&token);
+        return simulate(profile, bcfg, nullptr, "baseline", token);
       },
       job_opts_);
 }
@@ -478,17 +481,10 @@ RunCache::Future ExperimentRunner::submit_run(
         const obs::ScopedSpan span(
             obs::tracer(), "engine", "run",
             profile.name + "/" + policy_kind_name(kind));
-        if (cfg.multicore.cores > 1) {
-          // Each tile gets its own equivalently configured policy
-          // instance (per-tile controller state must not be shared).
-          MulticoreSystem system(
-              profile, cfg,
-              [kind, params, cfg] { return make_policy(kind, params, cfg); },
-              policy_kind_name(kind));
-          return system.run(&token).aggregate;
-        }
-        System system(profile, cfg, make_policy(kind, params, cfg));
-        return system.run(&token);
+        return simulate(
+            profile, cfg,
+            [kind, params, cfg] { return make_policy(kind, params, cfg); },
+            policy_kind_name(kind), token);
       },
       job_opts_);
 }

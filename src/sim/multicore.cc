@@ -1,98 +1,46 @@
 #include "sim/multicore.h"
 
 #include <algorithm>
-#include <cmath>
+#include <climits>
 #include <stdexcept>
 
-#include "floorplan/ev7.h"
-#include "floorplan/multicore.h"
 #include "obs/obs.h"
 
 namespace hydra::sim {
 namespace {
 
 constexpr double kEps = 1e-12;
-constexpr double kSimUs = 1e6;
 constexpr std::size_t kNoThread = static_cast<std::size_t>(-1);
-
-inline bool sim_trace_on(const obs::Tracer& tracer, std::uint32_t lane) {
-  return tracer.enabled() && lane != obs::SimLaneScope::kNoLane;
-}
 
 }  // namespace
 
-/// All per-tile state. Everything here is tile-local: during the
-/// parallel phase a tile is touched by exactly one worker, and the
+/// One tile's CoreTile plus the die's per-tile state around it. During
+/// the parallel phase a slot is touched by exactly one worker, and the
 /// barrier phase runs single-threaded, so no field needs atomics.
-struct MulticoreSystem::Tile {
-  Tile(const arch::CoreConfig& core_cfg, arch::TraceSource& trace,
-       const sensor::SensorConfig& sensor_cfg,
-       std::unique_ptr<core::DtmPolicy> pol)
-      : core(core_cfg, trace),
-        sensors(floorplan::kNumBlocks, sensor_cfg),
-        policy(std::move(pol)),
-        guard(dynamic_cast<core::GuardedPolicy*>(policy.get())) {
-    watts.resize(floorplan::kNumBlocks);
-    temps_slice.resize(floorplan::kNumBlocks);
-    sample.sensed_celsius.reserve(floorplan::kNumBlocks);
-  }
-
-  arch::Core core;
-  sensor::SensorBank sensors;
-  std::unique_ptr<core::DtmPolicy> policy;
-  core::GuardedPolicy* guard = nullptr;
-
+struct MulticoreSystem::TileSlot {
+  CoreTile tile;
   std::size_t index = 0;
   std::size_t thread = kNoThread;  ///< bound software thread (kNoThread=idle)
-
-  // Tile-local event machinery (mirrors the single-core System's).
-  double t = 0.0;
-  double next_sensor_t = 0.0;
-  double freq_hz = 0.0;
-  std::size_t dvs_level = 0;
-  std::size_t pending_level = 0;
-  bool transition_active = false;
-  double transition_end_t = 0.0;
-  bool clock_gate_requested = false;
-  bool clock_gate_on = false;
-  double quantum_end_t = 0.0;
-  double gate_fraction = 0.0;
-  double issue_gate_fraction = 0.0;
   std::size_t requested_dvs = 0;   ///< last composed level (global-DVS mode)
   std::uint64_t stall_cycles = 0;  ///< pending migration context-switch stall
   double pending_flush_j = 0.0;    ///< migration flush energy, next interval
 
-  // Scratch reused every interval (the tile phase never allocates).
-  std::vector<double> watts;        ///< interval-average block power [W]
-  std::vector<double> temps_slice;  ///< frozen tile temperatures [deg C]
-  core::ThermalSample sample;
-  arch::ActivityFrame probe_frame;  ///< steady-state init activity
+  // Scratch reused every interval (the tile phase never allocates):
+  // interval-average block power [W] and frozen temperatures [deg C].
+  std::vector<double> watts = std::vector<double>(floorplan::kNumBlocks);
+  std::vector<double> temps_slice = std::vector<double>(floorplan::kNumBlocks);
 
-  // Measurement accumulators. The doubles accumulate in the tile phase;
-  // max_true and the migration counters are barrier-phase only.
-  double gate_weighted = 0.0;
-  double issue_gate_weighted = 0.0;
-  double dvs_low = 0.0;
-  double clock_gated = 0.0;
+  // Measurement beyond the tile's own accumulators. occupied_wall
+  // accumulates in the tile phase; the rest is barrier-phase only.
   double occupied_wall = 0.0;
-  double failsafe_wall = 0.0;
   double max_true = 0.0;
-  std::uint64_t idle_cycles = 0;
-  std::size_t transitions = 0;
   std::uint64_t migrations_in = 0;
   std::uint64_t migrations_out = 0;
-  std::uint64_t start_committed = 0;
-  std::uint64_t start_cycles = 0;
-  std::uint32_t lane = obs::SimLaneScope::kNoLane;
 
-  void reset_measure() {
-    gate_weighted = issue_gate_weighted = dvs_low = clock_gated = 0.0;
-    occupied_wall = failsafe_wall = max_true = 0.0;
-    idle_cycles = 0;
-    transitions = 0;
+  void begin_measure() {
+    tile.begin_measure();
+    occupied_wall = max_true = 0.0;
     migrations_in = migrations_out = 0;
-    start_committed = core.committed();
-    start_cycles = core.cycles();
   }
 };
 
@@ -100,16 +48,7 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
                                  const SimConfig& cfg, PolicyFactory factory,
                                  std::string policy_name)
     : cfg_(cfg),
-      shared_(ModelCache::global().get(cfg)),
-      model_(shared_->model),
-      unit_fp_(floorplan::ev7_floorplan()),
-      vf_curve_(cfg.v_nominal, cfg.f_nominal, cfg.v_threshold, cfg.vf_alpha),
-      ladder_(vf_curve_, cfg.dvs_steps, cfg.v_low_fraction),
-      power_(unit_fp_, power::EnergyModel()),
-      solver_(model_.network, cfg.package.ambient,
-              cfg.fused_thermal ? thermal::Scheme::kFusedBE
-                                : thermal::Scheme::kBackwardEuler,
-              shared_->lu_cache),
+      die_(cfg),
       migration_([&cfg] {
         // Migration timings are paper-time, compressed like every other
         // period; the engagement threshold is the DTM trigger.
@@ -118,9 +57,10 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
         m.trigger = cfg.thresholds.trigger;
         return m;
       }()),
-      arbiter_(cfg.multicore.arbiter, cfg.multicore.cores, ladder_.size()),
+      arbiter_(cfg.multicore.arbiter, cfg.multicore.cores, cfg.dvs_steps),
       benchmark_name_(profile.name),
-      policy_name_(std::move(policy_name)) {
+      policy_name_(std::move(policy_name)),
+      probe_instructions_(activity_probe_length(cfg, profile)) {
   const std::size_t cores = cfg_.multicore.cores;
   if (cores == 0) {
     throw std::invalid_argument("multicore.cores must be >= 1");
@@ -129,10 +69,6 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
   if (n_threads == 0) n_threads = cores;
   if (n_threads > cores) {
     throw std::invalid_argument("more workload threads than cores");
-  }
-  if (!cfg_.fault_campaign.empty() && cores > 1) {
-    throw std::invalid_argument(
-        "sensor fault campaigns are single-core only");
   }
 
   // One seeded trace per software thread: same statistical profile,
@@ -153,17 +89,13 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
     // fetch from it: unoccupied tiles only ever advance via idle cycles.
     workload::SyntheticTrace& trace =
         t < n_threads ? *threads_[t] : *threads_[0];
-    auto tile = std::make_unique<Tile>(
-        cfg_.core, trace, scfg, factory ? factory() : nullptr);
-    tile->index = t;
-    if (t < n_threads) tile->thread = t;
-    tile->freq_hz = ladder_.point(0).frequency.value();
-    tiles_.push_back(std::move(tile));
+    tiles_.push_back(std::unique_ptr<TileSlot>(new TileSlot{
+        CoreTile(cfg_, trace, scfg, factory ? factory() : nullptr), t,
+        t < n_threads ? t : kNoThread}));
   }
   if (policy_name_.empty()) {
-    policy_name_ = tiles_[0]->policy
-                       ? std::string(tiles_[0]->policy->name())
-                       : "baseline";
+    const core::DtmPolicy* policy = tiles_[0]->tile.policy();
+    policy_name_ = policy ? std::string(policy->name()) : "baseline";
   }
 
   // Worker pool for the per-tile phase. 1 = strictly serial; 0 = the
@@ -177,65 +109,40 @@ MulticoreSystem::MulticoreSystem(const workload::WorkloadProfile& profile,
     pool_ = owned_pool_.get();
   }
 
-  sensor_period_s_ =
-      1.0 / (cfg_.sensor.sample_rate.value() * cfg_.time_scale);
-  switch_time_s_ = cfg_.dvs_switch_time.value() / cfg_.time_scale;
-  gate_quantum_ = cfg_.clock_gate_quantum.value() / cfg_.time_scale;
   interval_dt_ = static_cast<double>(cfg_.thermal_interval_cycles) /
                  cfg_.f_nominal.value();
   power_scale_ = 1.0 / static_cast<double>(cores);
 
   die_watts_.resize(cores * floorplan::kNumBlocks);
-  expanded_.resize(model_.network.size());
-  use_sparse_ = thermal::use_sparse_step(model_.network.size());
-  acc_.block_temp_weighted.assign(cores * floorplan::kNumBlocks, 0.0);
+  probe_frames_.resize(cores);
   tile_states_.resize(cores);
   tile_power_.assign(cores, util::Watts{0.0});
   tile_occupied_.assign(cores, false);
-
-  probe_auto_instructions_ = 0;
-  for (const workload::PhaseSpec& ph : profile.phases) {
-    probe_auto_instructions_ += ph.length_instructions;
-  }
-  if (probe_auto_instructions_ == 0) probe_auto_instructions_ = 300'000;
 }
 
 MulticoreSystem::~MulticoreSystem() = default;
 
 std::uint64_t MulticoreSystem::total_committed() const {
   std::uint64_t total = 0;
-  for (const auto& tile : tiles_) total += tile->core.committed();
+  for (const auto& slot : tiles_) total += slot->tile.core().committed();
   return total;
 }
 
 void MulticoreSystem::initialize_thermal_state() {
   // Probe every occupied tile's representative activity (in parallel —
   // probing is tile-local), then solve the die-level power <->
-  // temperature fixed point exactly as the single-core System does.
-  std::uint64_t probe = cfg_.activity_probe_instructions;
-  if (probe == 0) {
-    probe = std::min<std::uint64_t>(probe_auto_instructions_, 2'000'000);
-  }
-  const auto probe_tile = [this, probe](std::size_t i) {
-    Tile& tile = *tiles_[i];
-    if (tile.thread == kNoThread) {
-      tile.probe_frame = arch::ActivityFrame{};
-      return;
-    }
-    const std::uint64_t start = tile.core.committed();
-    while (tile.core.committed() < start + probe / 3) tile.core.cycle();
-    tile.core.take_interval_activity();
-    while (tile.core.committed() < start + probe / 3 + probe) {
-      tile.core.cycle();
-    }
-    tile.probe_frame = tile.core.take_interval_activity();
-  };
-  // The probe is by far the most expensive part of (re)starting a run —
-  // ~probe instructions of detailed core simulation per occupied tile —
-  // and its frames are a statistical fingerprint of the bound profiles,
-  // not of any evolving state. A warm system reuses the first run's
-  // frames; only the fresh-system first run pays.
+  // temperature fixed point. The probe is by far the most expensive part
+  // of (re)starting a run — ~probe instructions of detailed core
+  // simulation per occupied tile — and its frames are a statistical
+  // fingerprint of the bound profiles, not of any evolving state, so a
+  // warm system reuses the first run's frames (System re-probes).
   if (!probe_cached_) {
+    const auto probe_tile = [this](std::size_t i) {
+      TileSlot& slot = *tiles_[i];
+      probe_frames_[i] = slot.thread == kNoThread
+                             ? arch::ActivityFrame{}
+                             : slot.tile.probe(probe_instructions_);
+    };
     if (pool_ == nullptr) {
       for (std::size_t i = 0; i < tiles_.size(); ++i) probe_tile(i);
     } else {
@@ -243,216 +150,92 @@ void MulticoreSystem::initialize_thermal_state() {
     }
     probe_cached_ = true;
   }
-
-  const util::Celsius ambient = cfg_.package.ambient;
-  init_temps_.assign(model_.network.size(), ambient.value() + 30.0);
-  const auto& nominal = ladder_.point(0);
-  const thermal::LuFactorization* g_lu = nullptr;
-  const thermal::SparseCholesky* g_chol = nullptr;
-  if (use_sparse_) {
-    g_chol = &shared_->lu_cache->steady_sparse();
-  } else {
-    g_lu = &shared_->lu_cache->steady();
-  }
-  for (int iter = 0; iter < 10; ++iter) {
-    for (std::size_t t = 0; t < tiles_.size(); ++t) {
-      Tile& tile = *tiles_[t];
-      const std::size_t base = t * floorplan::kNumBlocks;
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        tile.temps_slice[b] = init_temps_[base + b];
-      }
-      power_.block_power_into(tile.probe_frame, nominal.voltage,
-                              nominal.frequency, tile.temps_slice,
-                              tile.watts);
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        die_watts_[base + b] = tile.watts[b] * power_scale_;
-      }
-    }
-    model_.expand_power_into(die_watts_, expanded_);
-    if (use_sparse_) {
-      thermal::steady_state_into(*g_chol, expanded_, ambient, init_temps_,
-                                 steady_work_);
-    } else {
-      thermal::steady_state_into(*g_lu, expanded_, ambient, init_temps_);
-    }
-  }
-  solver_.set_temperatures(init_temps_);
+  die_.start(probe_frames_, power_scale_);
 
   t_ = 0.0;
   global_dvs_floor_ = 0;
-  for (auto& tile : tiles_) {
-    tile->t = 0.0;
-    tile->next_sensor_t = sensor_period_s_;
-  }
+  for (auto& slot : tiles_) slot->tile.restart_clock();
 }
 
-void MulticoreSystem::apply_tile_dvs(Tile& tile, std::size_t level) {
-  tile.dvs_level = level;
-  tile.freq_hz = ladder_.point(level).frequency.value();
-  tile.core.set_frequency(tile.freq_hz);
-}
-
-double MulticoreSystem::tile_next_event(const Tile& tile) const {
-  double next_event = tile.next_sensor_t;
-  if (tile.transition_active) {
-    next_event = std::min(next_event, tile.transition_end_t);
-  }
-  if (tile.clock_gate_on || tile.clock_gate_requested) {
-    next_event = std::min(next_event, tile.quantum_end_t);
-  }
-  return next_event;
-}
-
-void MulticoreSystem::tile_sensor_event(Tile& tile, bool measure) {
+void MulticoreSystem::tile_sensor_event(TileSlot& slot, bool measure) {
+  // Unlike System, a tile actuates without a policy too: the zero
+  // command still composes with the arbiter floors below.
   core::DtmCommand cmd{};
-  if (tile.policy) {
-    tile.sensors.sample_into(tile.temps_slice, tile.sample.sensed_celsius);
-    tile.sample.max_sensed = util::Celsius(
-        *std::max_element(tile.sample.sensed_celsius.begin(),
-                          tile.sample.sensed_celsius.end()));
-    tile.sample.time = util::Seconds(tile.t);
-    cmd = tile.policy->update(tile.sample);
-  }
+  if (slot.tile.policy()) cmd = slot.tile.sense(slot.temps_slice);
 
   // Compose the local command with the die-level floors from the last
   // barrier: the more aggressive actuation wins. In global-DVS mode the
   // die additionally never runs below the maximum level any tile
   // requested as of that barrier.
-  double gate = cmd.fetch_gate_fraction;
-  std::size_t level = cmd.dvs_level;
   if (arbiter_.enabled()) {
-    const core::ArbiterCommand& arb = arbiter_.commands()[tile.index];
-    gate = std::max(gate, arb.fetch_gate_floor);
-    level = std::max(level, arb.dvs_floor);
+    const core::ArbiterCommand& arb = arbiter_.commands()[slot.index];
+    cmd.fetch_gate_fraction =
+        std::max(cmd.fetch_gate_fraction, arb.fetch_gate_floor);
+    cmd.dvs_level = std::max(cmd.dvs_level, arb.dvs_floor);
   }
-  tile.requested_dvs = level;
+  slot.requested_dvs = cmd.dvs_level;
   if (!cfg_.multicore.per_core_dvs) {
-    level = std::max(level, global_dvs_floor_);
+    cmd.dvs_level = std::max(cmd.dvs_level, global_dvs_floor_);
   }
-
-  tile.gate_fraction = gate;
-  tile.core.set_fetch_gate_fraction(gate);
-  tile.issue_gate_fraction = cmd.issue_gate_fraction;
-  tile.core.set_issue_gate_fraction(cmd.issue_gate_fraction);
-
-  tile.clock_gate_requested = cmd.clock_gate;
-  if (tile.clock_gate_requested && !tile.clock_gate_on) {
-    tile.clock_gate_on = true;
-    tile.quantum_end_t = tile.t + gate_quantum_;
-  } else if (!tile.clock_gate_requested) {
-    tile.clock_gate_on = false;
-  }
-
-  if (!tile.transition_active && level != tile.dvs_level) {
-    if (level >= ladder_.size()) {
-      throw std::out_of_range("policy requested DVS level beyond ladder");
-    }
-    tile.pending_level = level;
-    tile.transition_active = true;
-    tile.transition_end_t = tile.t + switch_time_s_;
-    if (measure) ++tile.transitions;
-  }
-  tile.next_sensor_t += sensor_period_s_;
+  slot.tile.actuate(cmd, measure);
 }
 
 void MulticoreSystem::step_tile(std::size_t t, double t_end, bool measure) {
-  Tile& tile = *tiles_[t];
+  TileSlot& slot = *tiles_[t];
+  CoreTile& tile = slot.tile;
+  // Policy and guard events land on this tile's trace lane.
+  const obs::SimLaneScope lane_scope(tile.lane());
   // Freeze this tile's temperatures for the interval: the solver only
   // advances at barriers, so this is the same fidelity as the
   // single-core System (which also samples interval-boundary state).
-  const thermal::Vector& temps = solver_.temperatures();
-  const std::size_t base = t * floorplan::kNumBlocks;
-  for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-    tile.temps_slice[b] = temps[base + b];
-  }
+  std::copy_n(die_.temperatures().begin() + t * floorplan::kNumBlocks,
+              floorplan::kNumBlocks, slot.temps_slice.begin());
 
-  while (tile.t < t_end - kEps) {
-    const double bound = std::min(tile_next_event(tile), t_end);
-    long long n =
-        static_cast<long long>(std::ceil((bound - tile.t) * tile.freq_hz));
-    if (n < 1) n = 1;
-    n = std::min<long long>(n, 4096);
-
-    const bool occupied = tile.thread != kNoThread;
-    const bool stalled = tile.transition_active && cfg_.dvs_stall;
-    if (tile.stall_cycles > 0) {
+  const auto on_sensor = [this, &slot, measure] {
+    tile_sensor_event(slot, measure);
+  };
+  while (tile.t() < t_end - kEps) {
+    long long n = chunk_cycles(std::min(tile.next_event(), t_end), tile.t(),
+                               tile.freq_hz(), LLONG_MAX);
+    const bool occupied = slot.thread != kNoThread;
+    CoreTile::Drive drive =
+        occupied ? CoreTile::Drive::kThread : CoreTile::Drive::kEmpty;
+    if (slot.stall_cycles > 0) {
       // Migration context switch: both endpoints burn clocked-idle
       // cycles (the pipeline drains / refills; the clock tree runs).
-      const long long m = std::min<long long>(
-          n, static_cast<long long>(tile.stall_cycles));
-      tile.core.idle_cycles(static_cast<std::uint64_t>(m), true);
-      tile.stall_cycles -= static_cast<std::uint64_t>(m);
-      n = m;
-      if (measure) tile.idle_cycles += static_cast<std::uint64_t>(m);
-    } else if (tile.clock_gate_on || stalled || !occupied) {
-      // An unoccupied tile is clock-gated silicon: no thread, no clock
-      // tree — only leakage (which the power model charges from its
-      // temperatures regardless of activity).
-      const bool clocked = !tile.clock_gate_on && occupied;
-      if (cfg_.bulk_idle_skip) {
-        tile.core.idle_cycles(static_cast<std::uint64_t>(n), clocked);
-      } else {
-        for (long long i = 0; i < n; ++i) tile.core.idle_cycle(clocked);
-      }
-      if (measure) tile.idle_cycles += static_cast<std::uint64_t>(n);
-    } else {
-      for (long long i = 0; i < n; ++i) tile.core.cycle();
+      n = std::min<long long>(n, static_cast<long long>(slot.stall_cycles));
+      slot.stall_cycles -= static_cast<std::uint64_t>(n);
+      drive = CoreTile::Drive::kStall;
     }
-
-    const double dt = static_cast<double>(n) / tile.freq_hz;
-    tile.t += dt;
-    if (measure) {
-      tile.gate_weighted += tile.gate_fraction * dt;
-      tile.issue_gate_weighted += tile.issue_gate_fraction * dt;
-      if (tile.dvs_level != 0) tile.dvs_low += dt;
-      if (tile.clock_gate_on) tile.clock_gated += dt;
-      if (occupied) tile.occupied_wall += dt;
-      if (tile.guard && tile.guard->failsafe_engaged()) {
-        tile.failsafe_wall += dt;
-      }
-    }
-
-    if (tile.transition_active && tile.t >= tile.transition_end_t - kEps) {
-      tile.transition_active = false;
-      apply_tile_dvs(tile, tile.pending_level);
-    }
-    if ((tile.clock_gate_on || tile.clock_gate_requested) &&
-        tile.t >= tile.quantum_end_t - kEps) {
-      tile.clock_gate_on = !tile.clock_gate_on && tile.clock_gate_requested;
-      tile.quantum_end_t = tile.t + gate_quantum_;
-    }
-    if (tile.t >= tile.next_sensor_t - kEps) {
-      tile_sensor_event(tile, measure);
-    }
+    const double dt = tile.advance(n, measure, drive);
+    if (measure && occupied) slot.occupied_wall += dt;
+    tile.fire_events(on_sensor);
   }
 
   // Interval-average power at the tile's current operating point; tile
   // watts scale by 1/cores (the tile is a 1/cores shrink of the unit
   // core). Any migration flush energy is spread across the tile's
   // blocks over this interval.
-  const arch::ActivityFrame frame = tile.core.take_interval_activity();
-  const auto& op = ladder_.point(tile.dvs_level);
-  power_.block_power_into(frame, op.voltage, op.frequency, tile.temps_slice,
-                          tile.watts);
-  for (double& w : tile.watts) w *= power_scale_;
-  if (tile.pending_flush_j > 0.0) {
+  tile.interval_power_into(slot.temps_slice, slot.watts);
+  for (double& w : slot.watts) w *= power_scale_;
+  if (slot.pending_flush_j > 0.0) {
     const double w_flush =
-        tile.pending_flush_j /
+        slot.pending_flush_j /
         (interval_dt_ * static_cast<double>(floorplan::kNumBlocks));
-    for (double& w : tile.watts) w += w_flush;
-    tile.pending_flush_j = 0.0;
+    for (double& w : slot.watts) w += w_flush;
+    slot.pending_flush_j = 0.0;
   }
 }
 
 void MulticoreSystem::apply_migration(const core::MigrationDecision& d) {
-  Tile& src = *tiles_[d.from];
-  Tile& dst = *tiles_[d.to];
+  TileSlot& src = *tiles_[d.from];
+  TileSlot& dst = *tiles_[d.to];
   // The source squashes its in-flight work; the destination rebinds the
   // thread's instruction stream. Both pay the context-switch stall; the
   // source additionally pays the state-flush energy. The destination's
   // cold caches/predictor are the natural remainder of the cost.
-  src.core.flush_pipeline();
-  dst.core.set_trace(*threads_[src.thread]);
+  src.tile.core().flush_pipeline();
+  dst.tile.core().set_trace(*threads_[src.thread]);
   dst.thread = src.thread;
   src.thread = kNoThread;
   const std::uint64_t cost = migration_.config().cost_cycles;
@@ -483,35 +266,36 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
     // Barrier phase (single-threaded, ascending tile order throughout —
     // every floating-point reduction below is order-fixed).
     for (std::size_t t = 0; t < cores; ++t) {
-      const Tile& tile = *tiles_[t];
-      const std::size_t base = t * floorplan::kNumBlocks;
-      for (std::size_t b = 0; b < floorplan::kNumBlocks; ++b) {
-        die_watts_[base + b] = tile.watts[b];
-      }
+      std::copy(tiles_[t]->watts.begin(), tiles_[t]->watts.end(),
+                die_watts_.begin() + t * floorplan::kNumBlocks);
     }
-    model_.expand_power_into(die_watts_, expanded_);
-    solver_.step(expanded_, util::Seconds(interval_dt_));
+    bool fault_active = false;
+    for (const auto& slot : tiles_) {
+      fault_active = fault_active || slot->tile.fault_active();
+    }
+    // Die-level fault window: any tile's campaign active this interval.
+    const double die_max = die_.step(die_watts_, interval_dt_, t_end,
+                                     fault_active, measure, die_lane_)
+                               .max_true;
     t_ = t_end;
 
-    const thermal::Vector& temps = solver_.temperatures();
-    double die_max = temps[0];
+    const thermal::Vector& temps = die_.temperatures();
     double tile_min_max = 0.0;
     for (std::size_t t = 0; t < cores; ++t) {
-      Tile& tile = *tiles_[t];
+      TileSlot& slot = *tiles_[t];
       const std::size_t base = t * floorplan::kNumBlocks;
       double tmax = temps[base];
       for (std::size_t b = 1; b < floorplan::kNumBlocks; ++b) {
         tmax = std::max(tmax, temps[base + b]);
       }
       tile_states_[t].tmax = util::Celsius(tmax);
-      tile_states_[t].occupied = tile.thread != kNoThread;
+      tile_states_[t].occupied = slot.thread != kNoThread;
       tile_occupied_[t] = tile_states_[t].occupied;
-      die_max = std::max(die_max, tmax);
       tile_min_max = t == 0 ? tmax : std::min(tile_min_max, tmax);
-      if (measure) tile.max_true = std::max(tile.max_true, tmax);
-      if (sim_trace_on(tracer, tile.lane)) {
-        tracer.counter(tile.lane, obs::TimeDomain::kSim, "Tmax_celsius",
-                       t_ * kSimUs, tmax);
+      if (measure) slot.max_true = std::max(slot.max_true, tmax);
+      if (sim_trace_on(tracer, slot.tile.lane())) {
+        tracer.counter(slot.tile.lane(), obs::TimeDomain::kSim,
+                       "Tmax_celsius", t_ * kSimUs, tmax);
       }
     }
     // Now that the die temperature moved, fill in the after-temperature
@@ -521,23 +305,9 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
       migration_events_[migrations_pending_after_].tmax_after_celsius =
           die_max;
     }
-
-    double total_watts = 0.0;
-    for (double w : die_watts_) total_watts += w;
-
     if (measure) {
-      const double dt = interval_dt_;
-      acc_.wall += dt;
-      if (die_max > cfg_.thresholds.emergency.value()) acc_.violation += dt;
-      if (die_max > cfg_.thresholds.trigger.value()) {
-        acc_.above_trigger += dt;
-      }
-      acc_.energy_j += total_watts * dt;
-      acc_.max_true = std::max(acc_.max_true, die_max);
-      acc_.spread_weighted += (die_max - tile_min_max) * dt;
-      for (std::size_t i = 0; i < die_watts_.size(); ++i) {
-        acc_.block_temp_weighted[i] += temps[i] * dt;
-      }
+      acc_.wall += interval_dt_;
+      acc_.spread_weighted += (die_max - tile_min_max) * interval_dt_;
     }
 
     // Die-level policies run on the fresh temperatures; their outputs
@@ -561,7 +331,7 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
         static const obs::Counter migration_counter =
             obs::metrics().counter("multicore.migrations");
         migration_counter.add();
-        if (tracer.enabled() && die_lane_ != obs::SimLaneScope::kNoLane) {
+        if (sim_trace_on(tracer, die_lane_)) {
           tracer.instant(die_lane_, obs::TimeDomain::kSim, "multicore",
                          "thread_migration", t_ * kSimUs, "from",
                          static_cast<double>(d.from), "to",
@@ -586,8 +356,8 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
     }
     if (!cfg_.multicore.per_core_dvs) {
       std::size_t floor = 0;
-      for (const auto& tile : tiles_) {
-        floor = std::max(floor, tile->requested_dvs);
+      for (const auto& slot : tiles_) {
+        floor = std::max(floor, slot->requested_dvs);
       }
       global_dvs_floor_ = floor;
     }
@@ -596,17 +366,17 @@ void MulticoreSystem::advance_intervals(std::uint64_t target_committed,
 
 MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
   cancel_ = cancel;
-  const std::uint64_t guard_trips_before = solver_.fused_guard_trips();
+  const std::uint64_t guard_trips_before = die_.solver().fused_guard_trips();
   obs::Tracer& tracer = obs::tracer();
   if (tracer.enabled()) {
     die_lane_ = tracer.new_lane(
         benchmark_name_ + "/" + policy_name_ + "/die",
         obs::TimeDomain::kSim);
-    for (auto& tile : tiles_) {
-      tile->lane = tracer.new_lane(
+    for (auto& slot : tiles_) {
+      slot->tile.set_lane(tracer.new_lane(
           benchmark_name_ + "/" + policy_name_ + "/c" +
-              std::to_string(tile->index),
-          obs::TimeDomain::kSim);
+              std::to_string(slot->index),
+          obs::TimeDomain::kSim));
     }
   }
   const obs::SimLaneScope sim_scope(die_lane_);
@@ -621,18 +391,14 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
     advance_intervals(total_committed() + cfg_.warmup_instructions, false);
   }
 
-  acc_.reset();
+  acc_ = Accum{};
+  die_.reset();
   migration_events_.clear();
   migrations_pending_after_ = 0;
   migration_.reset();
   arbiter_.reset();
   acc_.start_committed = total_committed();
-  std::uint64_t start_cycles = 0;
-  for (auto& tile : tiles_) {
-    tile->reset_measure();
-    start_cycles += tile->start_cycles;
-  }
-  acc_.start_cycles = start_cycles;
+  for (auto& slot : tiles_) slot->begin_measure();
 
   {
     const obs::ScopedSpan span(tracer, "system", "measure", benchmark_name_);
@@ -640,41 +406,63 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
   }
 
   const std::size_t cores = tiles_.size();
+  const double wall = acc_.wall;
   MulticoreResult out;
   RunResult& r = out.aggregate;
   r.benchmark = benchmark_name_;
   r.policy = policy_name_;
   r.cores = cores;
-  r.wall_seconds = acc_.wall;
-  r.instructions = total_committed() - acc_.start_committed;
-  std::uint64_t cycles = 0;
-  std::uint64_t idle = 0;
-  for (const auto& tile : tiles_) {
-    cycles += tile->core.cycles();
-    idle += tile->idle_cycles;
+  r.wall_seconds = wall;
+  // Tile totals, summed in ascending tile order.
+  std::uint64_t start_cycles = 0, cycles = 0, idle = 0;
+  double gate_w = 0.0, issue_w = 0.0, dvs_w = 0.0, cg_w = 0.0, fs_w = 0.0;
+  out.per_core.reserve(cores);
+  for (const auto& slot : tiles_) {
+    const CoreTile& tile = slot->tile;
+    const CoreTile::Accum& ta = tile.acc();
+    start_cycles += ta.start_cycles;
+    cycles += tile.core().cycles();
+    idle += ta.idle_cycles;
+    gate_w += ta.gate_weighted;
+    issue_w += ta.issue_gate_weighted;
+    dvs_w += ta.dvs_low;
+    cg_w += ta.clock_gated;
+    fs_w += ta.failsafe;
+    r.dvs_transitions += ta.transitions;
+    r.faulted_samples += tile.faulted_samples();
+    if (const core::GuardedPolicy* guard = tile.guard()) {
+      r.sensor_rejections += guard->stats().rejected_readings;
+      r.quarantine_entries += guard->stats().quarantine_entries;
+    }
+
+    CoreRunStats s;
+    s.tile = slot->index;
+    s.instructions = tile.core().committed() - ta.start_committed;
+    s.cycles = tile.core().cycles() - ta.start_cycles;
+    s.ipc = s.cycles == 0 ? 0.0
+                          : static_cast<double>(s.instructions) /
+                                static_cast<double>(s.cycles);
+    s.max_true_celsius = slot->max_true;
+    if (wall > 0.0) {
+      s.mean_gate_fraction = ta.gate_weighted / wall;
+      s.dvs_low_fraction = ta.dvs_low / wall;
+      s.occupied_fraction = slot->occupied_wall / wall;
+    }
+    s.dvs_transitions = ta.transitions;
+    s.migrations_in = slot->migrations_in;
+    s.migrations_out = slot->migrations_out;
+    out.per_core.push_back(s);
   }
-  r.cycles = cycles - acc_.start_cycles;
+  r.instructions = total_committed() - acc_.start_committed;
+  r.cycles = cycles - start_cycles;
   r.ipc = r.cycles == 0 ? 0.0
                         : static_cast<double>(r.instructions) /
                               static_cast<double>(r.cycles);
-  r.max_true_celsius = acc_.max_true;
-  const double wall = acc_.wall;
-  const double tile_wall = wall * static_cast<double>(cores);
+  die_.fill(r, wall);
   if (wall > 0.0) {
-    r.violation_fraction = acc_.violation / wall;
-    r.above_trigger_fraction = acc_.above_trigger / wall;
-    r.mean_power_watts = acc_.energy_j / wall;
+    const double tile_wall = wall * static_cast<double>(cores);
     r.core_temp_spread_celsius = acc_.spread_weighted / wall;
     r.budget_throttled_fraction = acc_.throttled / wall;
-    double gate_w = 0.0, issue_w = 0.0, dvs_w = 0.0, cg_w = 0.0;
-    double fs_w = 0.0;
-    for (const auto& tile : tiles_) {
-      gate_w += tile->gate_weighted;
-      issue_w += tile->issue_gate_weighted;
-      dvs_w += tile->dvs_low;
-      cg_w += tile->clock_gated;
-      fs_w += tile->failsafe_wall;
-    }
     // Per-tile fractions average over ALL tiles (idle tiles dilute —
     // they really are un-throttled silicon on this die).
     r.mean_gate_fraction = gate_w / tile_wall;
@@ -682,51 +470,14 @@ MulticoreResult MulticoreSystem::run(const util::CancelToken* cancel) {
     r.dvs_low_fraction = dvs_w / tile_wall;
     r.clock_gated_fraction = cg_w / tile_wall;
     r.failsafe_fraction = fs_w / tile_wall;
-    std::size_t hottest = 0;
-    for (std::size_t i = 1; i < acc_.block_temp_weighted.size(); ++i) {
-      if (acc_.block_temp_weighted[i] > acc_.block_temp_weighted[hottest]) {
-        hottest = i;
-      }
-    }
-    r.hottest_block = std::string(shared_->fp.block(hottest).name);
-    r.hottest_mean_celsius = acc_.block_temp_weighted[hottest] / wall;
   }
   if (r.cycles > 0) {
     r.idle_skip_fraction =
         static_cast<double>(idle) / static_cast<double>(r.cycles);
   }
-  std::size_t transitions = 0;
-  for (const auto& tile : tiles_) transitions += tile->transitions;
-  r.dvs_transitions = transitions;
   r.thread_migrations = migration_events_.size();
-  r.solver_guard_trips = solver_.fused_guard_trips() - guard_trips_before;
-  for (const auto& tile : tiles_) {
-    if (tile->guard) {
-      r.sensor_rejections += tile->guard->stats().rejected_readings;
-      r.quarantine_entries += tile->guard->stats().quarantine_entries;
-    }
-  }
-
-  out.per_core.reserve(cores);
-  for (const auto& tile : tiles_) {
-    CoreRunStats s;
-    s.tile = tile->index;
-    s.instructions = tile->core.committed() - tile->start_committed;
-    s.cycles = tile->core.cycles() - tile->start_cycles;
-    s.ipc = s.cycles == 0 ? 0.0
-                          : static_cast<double>(s.instructions) /
-                                static_cast<double>(s.cycles);
-    s.max_true_celsius = tile->max_true;
-    if (wall > 0.0) {
-      s.mean_gate_fraction = tile->gate_weighted / wall;
-      s.dvs_low_fraction = tile->dvs_low / wall;
-      s.occupied_fraction = tile->occupied_wall / wall;
-    }
-    s.dvs_transitions = tile->transitions;
-    s.migrations_in = tile->migrations_in;
-    s.migrations_out = tile->migrations_out;
-    out.per_core.push_back(s);
-  }
+  r.solver_guard_trips =
+      die_.solver().fused_guard_trips() - guard_trips_before;
   out.migrations = migration_events_;
   cancel_ = nullptr;
   return out;

@@ -2,8 +2,9 @@
 //
 // Generalises the single-core System to an N-core chip. All tiles share
 // one thermal model (the tiled floorplan from floorplan/multicore.h) and
-// one die-level solver; each tile carries its own out-of-order core, its
-// own 18-sensor bank, and its own DTM policy instance — DTM stays local,
+// one die-level solver; each tile is a CoreTile (sim/core_tile.h) — its
+// own out-of-order core, 18-sensor bank and DTM policy instance, the
+// per-core machinery the single-core System drives too. DTM stays local,
 // as in the paper, while three die-level mechanisms compose on top:
 // per-core (or barrier-synchronised global) DVS domains, a thermal-aware
 // thread-migration policy (core/migration_policy.h), and a global
@@ -29,8 +30,9 @@
 //    (the single-core System stops within a 4096-cycle chunk).
 //  * In global-DVS mode the shared level is the max level any tile
 //    requested as of the last barrier (one-interval response lag).
-//  * Sensor fault campaigns are not supported (cores > 1 + a non-empty
-//    campaign throws): the fault engine is single-die-bank scoped.
+//  * A sensor fault campaign applies to every tile's bank; its window
+//    and violation fractions are die-level (intervals with any tile's
+//    fault active).
 #pragma once
 
 #include <cstdint>
@@ -39,19 +41,13 @@
 #include <string>
 #include <vector>
 
-#include "arch/core.h"
 #include "core/budget_arbiter.h"
 #include "core/dtm_policy.h"
-#include "core/guarded_policy.h"
 #include "core/migration_policy.h"
 #include "obs/trace.h"
-#include "power/power_model.h"
-#include "power/voltage_freq.h"
-#include "sensor/sensor.h"
-#include "sim/model_cache.h"
+#include "sim/core_tile.h"
 #include "sim/sim_config.h"
 #include "sim/system.h"
-#include "thermal/solver.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 #include "workload/synthetic_trace.h"
@@ -102,8 +98,8 @@ class MulticoreSystem {
  public:
   /// `policy_name` labels RunResult::policy ("baseline" when empty and
   /// the factory returns null). Throws std::invalid_argument on
-  /// inconsistent multicore config (0 cores, more threads than cores, a
-  /// fault campaign with cores > 1).
+  /// inconsistent multicore config (0 cores, more threads than cores) or
+  /// a fault campaign naming a sensor the tile bank lacks.
   MulticoreSystem(const workload::WorkloadProfile& profile,
                   const SimConfig& cfg, PolicyFactory factory,
                   std::string policy_name = "");
@@ -113,11 +109,8 @@ class MulticoreSystem {
   /// cancellation contract; cancellation is polled once per interval).
   MulticoreResult run(const util::CancelToken* cancel = nullptr);
 
-  std::size_t cores() const { return tiles_.size(); }
-  const power::DvsLadder& ladder() const { return ladder_; }
-
  private:
-  struct Tile;
+  struct TileSlot;
 
   void initialize_thermal_state();
   /// Advance whole thermal intervals until `total_committed() >=
@@ -129,35 +122,24 @@ class MulticoreSystem {
   /// interval-average block power into tile scratch. Runs concurrently
   /// across tiles; touches only tile state and frozen shared state.
   void step_tile(std::size_t t, double t_end, bool measure);
-  void tile_sensor_event(Tile& tile, bool measure);
-  void apply_tile_dvs(Tile& tile, std::size_t level);
-  double tile_next_event(const Tile& tile) const;
+  /// Sense, compose with the die-level floors, actuate.
+  void tile_sensor_event(TileSlot& slot, bool measure);
   std::uint64_t total_committed() const;
   void apply_migration(const core::MigrationDecision& d);
 
   SimConfig cfg_;
-  std::shared_ptr<const SharedModel> shared_;
-  const thermal::ThermalModel& model_;
-  floorplan::Floorplan unit_fp_;  ///< single-tile ev7 unit (power/leakage)
-  power::VoltageFrequencyCurve vf_curve_;
-  power::DvsLadder ladder_;
-  power::PowerModel power_;
-  thermal::TransientSolver solver_;
+  DieThermal die_;
   core::MigrationPolicy migration_;
   core::BudgetArbiter arbiter_;
 
   /// One per software thread; a tile binds one via Core::set_trace.
   std::vector<std::unique_ptr<workload::SyntheticTrace>> threads_;
-  std::vector<std::unique_ptr<Tile>> tiles_;
+  std::vector<std::unique_ptr<TileSlot>> tiles_;
 
   /// nullptr = serial (threads == 1); global() or a private pool else.
   util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<util::ThreadPool> owned_pool_;
 
-  // Scaled event periods [s] (shared by every tile).
-  double sensor_period_s_ = 0.0;
-  double switch_time_s_ = 0.0;
-  double gate_quantum_ = 0.0;
   double interval_dt_ = 0.0;  ///< master wall seconds per thermal interval
   double power_scale_ = 1.0;  ///< 1/cores: tiles shrink with the grid
 
@@ -165,25 +147,12 @@ class MulticoreSystem {
   double t_ = 0.0;
   std::size_t global_dvs_floor_ = 0;  ///< global-DVS mode, last barrier
 
-  // Die-level measurement accumulators (barrier phase only).
+  // Die-level measurement accumulators beyond die_'s (barrier phase only).
   struct Accum {
     double wall = 0.0;
-    double violation = 0.0;
-    double above_trigger = 0.0;
-    double energy_j = 0.0;
-    double max_true = 0.0;
     double spread_weighted = 0.0;
     double throttled = 0.0;  ///< wall time with an arbiter floor active
-    std::vector<double> block_temp_weighted;  ///< per die block
     std::uint64_t start_committed = 0;
-    std::uint64_t start_cycles = 0;
-    void reset() {
-      wall = violation = above_trigger = energy_j = max_true = 0.0;
-      spread_weighted = throttled = 0.0;
-      for (double& v : block_temp_weighted) v = 0.0;
-      start_committed = 0;
-      start_cycles = 0;
-    }
   } acc_;
 
   std::vector<MigrationEvent> migration_events_;
@@ -193,23 +162,17 @@ class MulticoreSystem {
   std::string policy_name_;
   std::uint32_t die_lane_ = obs::SimLaneScope::kNoLane;  ///< die trace lane
   const util::CancelToken* cancel_ = nullptr;
-  std::uint64_t probe_auto_instructions_ = 300'000;
+  std::uint64_t probe_instructions_ = 0;
   /// The activity probe burns ~probe instructions per occupied tile and
   /// its frames depend only on the bound traces' statistical profiles,
   /// so repeated run()s of a warm system reuse the first run's frames
   /// (the dominant cost of re-running a many-core system; a fresh
   /// system's first run is unchanged).
   bool probe_cached_ = false;
-  /// Route the steady-state fixed point through the sparse Cholesky of
-  /// G when the die is past the sparse crossover (resolved once;
-  /// matches the solver's own step dispatch).
-  bool use_sparse_ = false;
+  std::vector<arch::ActivityFrame> probe_frames_;  ///< per tile
 
   // Preallocated die-level scratch (the interval loop never allocates).
   std::vector<double> die_watts_;
-  thermal::Vector expanded_;
-  thermal::Vector init_temps_;
-  thermal::Vector steady_work_;  ///< sparse steady-solve scratch
   std::vector<core::TileThermalState> tile_states_;
   std::vector<util::Watts> tile_power_;
   std::vector<bool> tile_occupied_;

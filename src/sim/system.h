@@ -8,23 +8,23 @@
 // with 10 us switching time (stalling the pipeline in the "stall"
 // variant). Temperatures are initialised to the workload's steady state
 // and a warm-up period runs before statistics are gathered.
+//
+// System is the single-tile engine. The per-core sensing, actuation and
+// event machinery is one CoreTile (sim/core_tile.h) and the thermal side
+// a DieThermal, both shared with the many-core MulticoreSystem; System
+// owns the chunk loop and steps the solver inside it.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
-#include "arch/core.h"
 #include "core/dtm_policy.h"
-#include "core/guarded_policy.h"
-#include "fault/fault_injector.h"
 #include "floorplan/floorplan.h"
-#include "obs/trace.h"
-#include "power/power_model.h"
-#include "power/voltage_freq.h"
-#include "sensor/sensor.h"
+#include "sim/core_tile.h"
 #include "sim/model_cache.h"
 #include "sim/sim_config.h"
 #include "thermal/model_builder.h"
@@ -87,6 +87,70 @@ struct RunResult {
   bool thermally_safe() const { return violation_fraction == 0.0; }
 };
 
+/// The thermal half both engines share: the cached die model, its
+/// transient solver, the steady-state start point, and the die-level
+/// integrals behind RunResult's thermal fields with their Tmax / power
+/// trace tracks and emergency edges.
+class DieThermal {
+ public:
+  /// The die of cfg.multicore.cores tiles (ModelCache-shared model).
+  explicit DieThermal(const SimConfig& cfg);
+
+  /// Sets the solver to the power <-> temperature fixed point. Leakage
+  /// depends on temperature, so ten rounds of (block power at the
+  /// nominal operating point -> steady-state temperatures) run from
+  /// ambient + 30 C, tile i dissipating `frames[i]`'s activity scaled by
+  /// `power_scale`. G's shared factor is a dense LU below
+  /// kSparseCrossoverNodes and a sparse Cholesky at or above it.
+  void start(std::span<const arch::ActivityFrame> frames, double power_scale);
+
+  struct Interval {
+    double max_true = 0.0;  ///< hottest die block [deg C]
+    double watts = 0.0;     ///< total die power
+  };
+  /// Steps the solver `dt` s under per-block `watts`, ending at sim time
+  /// `t`. Trace tracks go to `lane`; the integrals advance only when
+  /// `measure`.
+  Interval step(const std::vector<double>& watts, double dt, double t,
+                bool fault_active, bool measure, std::uint32_t lane);
+
+  /// Zeroes the integrals in place (repeated runs must not allocate).
+  void reset();
+  /// The thermal fields of `r` over a measured window of `wall` s.
+  void fill(RunResult& r, double wall) const;
+
+  const thermal::Vector& temperatures() const {
+    return solver_.temperatures();
+  }
+  thermal::TransientSolver& solver() { return solver_; }
+
+ private:
+  std::shared_ptr<const SharedModel> shared_;
+  core::DtmThresholds thresholds_;
+  util::Celsius ambient_;
+  power::OperatingPoint nominal_;
+  thermal::TransientSolver solver_;
+  bool sparse_ = false;  ///< steady solves through the sparse Cholesky
+
+  // Preallocated scratch (no step or start allocates).
+  std::vector<double> tile_temps_;
+  std::vector<double> tile_watts_;
+  std::vector<double> die_watts_;
+  thermal::Vector expanded_;
+  thermal::Vector start_temps_;
+  thermal::Vector work_;  ///< sparse steady-solve scratch
+
+  // Measured-window integrals.
+  double violation_ = 0.0;
+  double above_trigger_ = 0.0;
+  double fault_window_ = 0.0;     ///< time with >=1 active fault
+  double fault_violation_ = 0.0;  ///< ... and T_true above emergency
+  double energy_j_ = 0.0;
+  double max_true_ = 0.0;
+  std::vector<double> block_temp_weighted_;  ///< per die block
+  bool in_emergency_ = false;  ///< last reported T > emergency state
+};
+
 /// Size of the next advance_until chunk: up to the next scheduled event,
 /// never past the thermal-interval boundary, capped at 4096 cycles so
 /// event-time comparisons stay responsive. Exposed as a free function so
@@ -134,7 +198,7 @@ class System {
   /// TransientSolver::inject_fused_fault_for_test). Lets tests assert
   /// the guard event is visible end-to-end in RunResult and --metrics.
   void inject_solver_fault_for_test() {
-    solver_.inject_fused_fault_for_test();
+    die_.solver().inject_fused_fault_for_test();
   }
 
   /// Install an observer called once per thermal interval during the
@@ -143,12 +207,8 @@ class System {
     trace_cb_ = std::move(cb);
   }
 
-  const power::DvsLadder& ladder() const { return ladder_; }
-  const floorplan::Floorplan& floorplan() const { return fp_; }
-
  private:
   void initialize_thermal_state();
-  void warmup();
   /// Advance until `target_committed` instructions have committed. With
   /// `run_out_interval`, additionally continue to the next thermal
   /// interval boundary (used after warm-up: stepping the solver with a
@@ -156,103 +216,26 @@ class System {
   void advance_until(std::uint64_t target_committed, bool measure,
                      bool run_out_interval = false);
   void thermal_and_power_step(bool measure);
-  void sensor_event(bool measure);
-  void apply_dvs_level(std::size_t level);
-  /// Earliest pending scheduled event (sensor tick, DVS-transition end,
-  /// clock-gate quantum boundary). Invariant between events, so
-  /// advance_until recomputes it only after one fires.
-  double next_event_time() const;
 
-  // Configuration-derived state. Floorplan, thermal model and LU
-  // factorisations are shared read-only across all Systems with the same
-  // (package, time_scale) via the process-wide ModelCache.
   SimConfig cfg_;
-  std::shared_ptr<const SharedModel> shared_;
-  const floorplan::Floorplan& fp_;
-  const thermal::ThermalModel& model_;
-  power::VoltageFrequencyCurve vf_curve_;
-  power::DvsLadder ladder_;
-  power::PowerModel power_;
+  DieThermal die_;
   workload::SyntheticTrace trace_;
-  arch::Core core_;
-  sensor::SensorBank sensors_;
-  std::unique_ptr<core::DtmPolicy> policy_;
-  std::unique_ptr<fault::FaultInjector> injector_;
-  /// Non-owning view of policy_ when it is a GuardedPolicy (for stats).
-  core::GuardedPolicy* guard_ = nullptr;
-  thermal::TransientSolver solver_;
+  CoreTile tile_;
+  std::uint64_t probe_instructions_ = 0;
 
-  // Scaled event periods [s].
-  double sensor_period_s_ = 0.0;
-  double switch_time_s_ = 0.0;
-  double gate_quantum_ = 0.0;
-
-  // Dynamic state.
-  double t_ = 0.0;             ///< simulation time [s]
-  double next_sensor_t_ = 0.0;
-  double freq_hz_ = 0.0;          ///< clock at the applied DVS level [Hz]
-  std::size_t dvs_level_ = 0;  ///< applied DVS level
-  std::size_t pending_level_ = 0;
-  bool transition_active_ = false;
-  double transition_end_t_ = 0.0;
-  bool clock_gate_requested_ = false;
-  bool clock_gate_on_ = false;  ///< inside a gated quantum
-  double quantum_end_t_ = 0.0;
-  double gate_fraction_ = 0.0;
-  double issue_gate_fraction_ = 0.0;
+  // Thermal-interval progress.
   long long interval_cycles_ = 0;
   double interval_wall_ = 0.0;
-
-  // Measurement accumulators.
-  struct Accum {
-    double wall = 0.0;
-    double violation = 0.0;
-    double above_trigger = 0.0;
-    double gate_weighted = 0.0;
-    double issue_gate_weighted = 0.0;
-    double dvs_low = 0.0;
-    double clock_gated = 0.0;
-    double failsafe = 0.0;
-    double fault_window = 0.0;
-    double fault_violation = 0.0;
-    double energy_j = 0.0;
-    double max_true = 0.0;
-    std::vector<double> block_temp_weighted;
-    std::size_t transitions = 0;
-    std::uint64_t start_committed = 0;
-    std::uint64_t start_cycles = 0;
-    std::uint64_t idle_cycles = 0;  ///< cycles advanced as idle spans
-
-    /// Zero in place, keeping block_temp_weighted's storage (run() may
-    /// be called repeatedly and must not allocate after the first call).
-    void reset() {
-      wall = violation = above_trigger = gate_weighted = 0.0;
-      issue_gate_weighted = dvs_low = clock_gated = failsafe = 0.0;
-      fault_window = fault_violation = energy_j = max_true = 0.0;
-      for (double& v : block_temp_weighted) v = 0.0;
-      transitions = 0;
-      start_committed = 0;
-      start_cycles = 0;
-      idle_cycles = 0;
-    }
-  } acc_;
+  /// Gate duties weighted per thermal interval (the tile's per-chunk
+  /// integrals cover the rest of the measured window).
+  double gate_weighted_ = 0.0;
+  double issue_gate_weighted_ = 0.0;
 
   std::function<void(const StepTrace&)> trace_cb_;
   std::string benchmark_name_;
   /// Cooperative stop signal for the current run() (null when absent).
   const util::CancelToken* cancel_ = nullptr;
-  std::uint64_t probe_auto_instructions_ = 300'000;
-
-  // Preallocated scratch so the per-step hot path never allocates.
-  std::vector<double> watts_;       ///< per-block power
-  thermal::Vector expanded_;        ///< per-node power
-  core::ThermalSample sample_;      ///< reused sensor-event sample
-  thermal::Vector init_temps_;      ///< steady-state fixed-point scratch
-
-  // Observability (all dormant unless tracing/metrics are enabled).
-  std::uint32_t sim_lane_ = obs::SimLaneScope::kNoLane;
-  bool policy_engaged_ = false;   ///< last reported actuation state
-  bool in_emergency_ = false;     ///< last reported T > emergency state
+  std::vector<double> watts_;  ///< per-block power (preallocated)
 };
 
 }  // namespace hydra::sim

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 
+#include "fault/fault_campaign.h"
 #include "floorplan/ev7.h"
 #include "floorplan/multicore.h"
 #include "sim/experiment.h"
@@ -156,6 +157,34 @@ TEST(Multicore, InvalidConfigsThrow) {
   cfg.multicore.workload_threads = 3;
   EXPECT_THROW(MulticoreSystem(hot_profile(), cfg, nullptr),
                std::invalid_argument);
+}
+
+// -------------------------------------------------------- fault campaign
+TEST(Multicore, FaultCampaignGuardedAcrossWorkerWidths) {
+  // Every tile's bank runs the campaign; the guard substitutes the stuck
+  // readings on each tile, and the die reports the fault window. Per-tile
+  // injectors keep the run bit-identical at any worker width.
+  const auto run_at_width = [](std::size_t threads) {
+    SimConfig cfg = mc_config(2);
+    cfg.multicore.threads = threads;
+    cfg.fault_campaign = fault::FaultCampaign::from_string(
+        "IntReg stuck_at 0.005 inf 40\n", sensor_names());
+    PolicyParams params;
+    params.guarded = true;
+    MulticoreSystem system(
+        hot_profile(), cfg,
+        [cfg, params] {
+          return make_policy(PolicyKind::kHybrid, params, cfg);
+        },
+        "Hyb");
+    return system.run().aggregate;
+  };
+  const RunResult a = run_at_width(1);
+  const RunResult b = run_at_width(2);
+  EXPECT_GT(a.faulted_samples, 0u);
+  EXPECT_GT(a.sensor_rejections, 0u);
+  EXPECT_GT(a.fault_window_fraction, 0.0);
+  EXPECT_EQ(serialize_run_result(a), serialize_run_result(b));
 }
 
 // --------------------------------------------------------- migration

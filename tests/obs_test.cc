@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "sim/experiment.h"
+#include "sim/multicore.h"
+#include "workload/spec_profiles.h"
 
 // Global allocation counter so the hot-path tests can assert record
 // calls never allocate (the layer's core contract).
@@ -285,6 +288,44 @@ TEST(Trace, ConcurrentRecordingLosesNothingOnceJoined) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(tracer.size(),
             static_cast<std::size_t>(kThreads) * kPerThread);
+}
+
+// Die tiles run the single-core engine's actuation code, so a traced
+// many-core run records DTM events on the per-tile "/c<t>" lanes.
+TEST(SimTrace, MulticoreTilesRecordDtmEvents) {
+  sim::SimConfig cfg;
+  cfg.time_scale = 150.0;
+  cfg.thermal_interval_cycles = 2'000;
+  cfg.warmup_instructions = 300'000;
+  cfg.run_instructions = 400'000;
+  cfg.thresholds.trigger = util::Celsius(70.0);
+  cfg.thresholds.emergency = util::Celsius(74.0);
+  cfg.multicore.cores = 2;
+  cfg.multicore.threads = 1;
+  const sim::PolicyFactory hyb = [cfg] {
+    return sim::make_policy(sim::PolicyKind::kHybrid, {}, cfg);
+  };
+  sim::MulticoreSystem system(workload::spec2000_profile("crafty"), cfg, hyb,
+                              "Hyb");
+  Tracer& tr = tracer();
+  tr.clear();
+  tr.set_enabled(true);
+  system.run();
+  tr.set_enabled(false);
+  std::ostringstream out;
+  tr.write_csv(out);
+  tr.clear();
+
+  std::istringstream rows(out.str());
+  std::size_t tile_dtm_events = 0;
+  for (std::string row; std::getline(rows, row);) {
+    if (row.find("/Hyb/c") == std::string::npos) continue;
+    if (row.find(",fetch_gate_duty,") != std::string::npos ||
+        row.find(",policy_engage,") != std::string::npos) {
+      ++tile_dtm_events;
+    }
+  }
+  EXPECT_GT(tile_dtm_events, 0u);
 }
 
 TEST(SimLane, ScopeNestsAndRestores) {
