@@ -15,9 +15,9 @@
 //              runner must quarantine both, recompute only those two,
 //              and still reproduce the cold results bit-for-bit.
 //
-// Writes BENCH_restart.json; scripts/bench_gate.py gates the warm hit
-// rate (absolute floor) and bit-identity. Deterministic; honours
-// HYDRA_RUN_INSTRUCTIONS.
+// Exits 1 unless the warm pass computes nothing and every pass is
+// bit-identical to the cold one (ctest runs it as ext_cache_restart_smoke).
+// Deterministic; honours HYDRA_RUN_INSTRUCTIONS.
 #include "bench_util.h"
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 
 #include "sim/persistent_cache.h"
 #include "util/config.h"
-#include "util/json.h"
 
 using namespace hydra;
 using namespace hydra::bench;
@@ -70,27 +69,22 @@ Pass run_pass(const sim::SimConfig& cfg, const std::string& dir) {
 
 /// Damage two store entries the way a crash or medium error would:
 /// flip one payload byte in the first, truncate the second mid-payload.
-/// Returns how many files were damaged.
-int corrupt_two_entries(const std::string& dir) {
+void corrupt_two_entries(const std::string& dir) {
   std::vector<fs::path> entries;
   for (const auto& de : fs::recursive_directory_iterator(dir)) {
     if (de.path().extension() == ".run") entries.push_back(de.path());
   }
   std::sort(entries.begin(), entries.end());
-  int damaged = 0;
   if (!entries.empty()) {
     std::fstream f(entries.front(),
                    std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(30);  // inside the payload: checksum must now mismatch
     f.put('\x5a');
-    ++damaged;
   }
   if (entries.size() > 1) {
     std::error_code ec;
     fs::resize_file(entries[1], fs::file_size(entries[1]) / 2, ec);
-    if (!ec) ++damaged;
   }
-  return damaged;
 }
 
 double hit_rate(const sim::RunCache::Stats& s) {
@@ -105,8 +99,7 @@ int main(int argc, char** argv) {
   try {
     const util::Config args = util::Config::from_args(
         std::vector<std::string>(argv + 1, argv + argc));
-    args.reject_unknown({"out", "dir"});
-    const std::string out_path = args.get_string("out", "BENCH_restart.json");
+    args.reject_unknown({"dir"});
     const std::string dir =
         args.get_string("dir", "ext_cache_restart.cache");
 
@@ -115,7 +108,7 @@ int main(int argc, char** argv) {
            "persistent store; results must stay bit-identical.");
 
     sim::SimConfig cfg = sim::default_sim_config();
-    // Smoke-sized by default (this doubles as a CI gate input); env and
+    // Smoke-sized by default (it also runs under ctest); env and
     // HYDRA_RUN_INSTRUCTIONS override as everywhere else.
     cfg.run_instructions =
         std::min<std::uint64_t>(cfg.run_instructions, 300'000);
@@ -127,7 +120,7 @@ int main(int argc, char** argv) {
 
     const Pass cold = run_pass(cfg, dir);
     const Pass warm = run_pass(cfg, dir);
-    const int damaged = corrupt_two_entries(dir);
+    corrupt_two_entries(dir);
     const Pass corrupt = run_pass(cfg, dir);
 
     const bool warm_identical = warm.fingerprint == cold.fingerprint;
@@ -162,22 +155,6 @@ int main(int argc, char** argv) {
       csv_row("warm", warm, warm_identical);
       csv_row("corrupt", corrupt, corrupt_identical);
     }
-
-    std::ofstream out(out_path);
-    if (!out) {
-      throw std::runtime_error("cannot open '" + out_path + "' for write");
-    }
-    util::JsonWriter w(out);
-    w.begin_object();
-    w.key("restart_cache_hit_rate").value(hit_rate(warm.stats));
-    w.key("restart_bit_identical").value(warm_identical ? 1 : 0);
-    w.key("restart_computes").value(warm.stats.computes);
-    w.key("corrupt_entries_damaged").value(damaged);
-    w.key("corrupt_recovery_bit_identical").value(corrupt_identical ? 1 : 0);
-    w.key("corrupt_recovery_computes").value(corrupt.stats.computes);
-    w.end_object();
-    out << '\n';
-    std::printf("wrote %s\n", out_path.c_str());
 
     fs::remove_all(dir, ec);
     if (!warm_identical || !corrupt_identical || warm.stats.computes != 0) {

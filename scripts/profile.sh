@@ -81,7 +81,7 @@ build() {
   cmake --build "$1" -j "$(nproc)" --target "$TARGET" >/dev/null
 }
 
-# The built binary's path inside a build tree (hydra_run/hydra_bench live
+# The built binary's path inside a build tree (hydra_run and hydra_trace live
 # under tools/, the microbenches under bench/).
 bin_path() {
   find "$1" -type f -name "$TARGET" -perm -u+x | head -n 1

@@ -1,11 +1,11 @@
 #include "sim/experiment.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "floorplan/ev7.h"
 #include "obs/obs.h"
 #include "sim/multicore.h"
+#include "util/config.h"
 #include "util/hash.h"
 #include "util/stats.h"
 
@@ -140,22 +140,15 @@ std::unique_ptr<core::DtmPolicy> make_policy(PolicyKind kind,
       std::move(base), cfg.thresholds, sensor_adjacency(), guard);
 }
 
-namespace {
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
-
-}  // namespace
-
 SimConfig default_sim_config() {
   SimConfig cfg;
   cfg.run_instructions =
-      env_u64("HYDRA_RUN_INSTRUCTIONS", cfg.run_instructions);
+      util::env_u64("HYDRA_RUN_INSTRUCTIONS", cfg.run_instructions);
+  if (cfg.run_instructions == 0) {
+    throw std::invalid_argument("HYDRA_RUN_INSTRUCTIONS: must be > 0");
+  }
   cfg.warmup_instructions =
-      env_u64("HYDRA_WARMUP_INSTRUCTIONS", cfg.warmup_instructions);
+      util::env_u64("HYDRA_WARMUP_INSTRUCTIONS", cfg.warmup_instructions);
   return cfg;
 }
 

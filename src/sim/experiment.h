@@ -79,7 +79,9 @@ std::unique_ptr<core::DtmPolicy> make_policy(PolicyKind kind,
 
 /// Default simulation configuration for experiments. Honours the
 /// HYDRA_RUN_INSTRUCTIONS / HYDRA_WARMUP_INSTRUCTIONS environment
-/// variables so CI can run abbreviated sweeps.
+/// variables so CI can run abbreviated sweeps; throws
+/// std::invalid_argument naming the variable when either is not a whole
+/// decimal number, or when the run length is 0.
 SimConfig default_sim_config();
 
 /// Content hash of every field of a SimConfig (including the core,

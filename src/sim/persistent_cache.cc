@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/config.h"
 
 namespace hydra::sim {
 namespace {
@@ -278,17 +279,11 @@ PersistentRunCache::PersistentRunCache(Options opts)
   recover_locked();
 }
 
-std::shared_ptr<PersistentRunCache> PersistentRunCache::from_env() {
-  const char* dir = std::getenv("HYDRA_CACHE_DIR");
-  if (dir == nullptr || dir[0] == '\0') return nullptr;
+PersistentRunCache::Options PersistentRunCache::env_options() {
   Options opts;
-  opts.dir = dir;
-  if (const char* cap = std::getenv("HYDRA_CACHE_MAX_BYTES")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cap, &end, 10);
-    if (end != cap && v > 0) opts.max_bytes = v;
-  }
-  return std::make_shared<PersistentRunCache>(std::move(opts));
+  if (const char* dir = std::getenv("HYDRA_CACHE_DIR")) opts.dir = dir;
+  opts.max_bytes = util::env_u64("HYDRA_CACHE_MAX_BYTES", opts.max_bytes);
+  return opts;
 }
 
 fs::path PersistentRunCache::shard_dir(std::uint64_t key) const {

@@ -88,9 +88,11 @@ class PersistentRunCache {
   /// cannot be created or is not writable.
   explicit PersistentRunCache(Options opts);
 
-  /// The store for the HYDRA_CACHE_DIR environment variable (capacity
-  /// from HYDRA_CACHE_MAX_BYTES when set), or nullptr when unset.
-  static std::shared_ptr<PersistentRunCache> from_env();
+  /// Options from the environment: `dir` from HYDRA_CACHE_DIR (empty
+  /// when unset, i.e. no store) and `max_bytes` from
+  /// HYDRA_CACHE_MAX_BYTES when set. Throws std::invalid_argument when
+  /// the cap is not a whole decimal number.
+  static Options env_options();
 
   /// Verified entry for `key`, or nullptr. A corrupt entry is
   /// quarantined and reported as a miss; a version-mismatched entry is

@@ -88,10 +88,14 @@ class SparseCholesky {
   std::vector<double> d_;  ///< positive pivots of D
 };
 
-/// Node count at or above which the solver steps sparsely: the
-/// empirical crossover from bench/micro_perf's BM_ThermalFusedStep vs
-/// BM_SparseStep (DESIGN.md section 17). The 28-node single-core model
-/// stays dense; the 82-node 4-core die and larger go sparse.
+/// Node count at or above which the solver steps sparsely (DESIGN.md
+/// section 17). The 28-node single-core model stays dense; the 82-node
+/// 4-core die and larger go sparse. With the scalar kernels (4-core
+/// x86-64, Release, median of 7 micro_perf repetitions) the 28-node
+/// fused step takes 5.67 us against 1.07 us for the LU reference, and
+/// BM_DieStep dense vs sparse is 57.9 vs 5.09 us at 82 nodes and 704 vs
+/// 21.4 us at 298. The constant stays: the 28-node results are pinned
+/// bit-for-bit by the perfbench references.
 inline constexpr std::size_t kSparseCrossoverNodes = 64;
 
 /// Test seam for comparing the two paths in one process: kAuto (the

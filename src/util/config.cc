@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace hydra::util {
@@ -179,6 +180,21 @@ void Config::reject_unknown(const std::vector<std::string_view>& allowed,
     }
     throw std::invalid_argument(msg);
   }
+}
+
+std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  const std::string_view text(v);
+  std::uint64_t parsed = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw std::invalid_argument(std::string(name) + ": cannot parse '" +
+                                std::string(text) +
+                                "' as a whole decimal number");
+  }
+  return parsed;
 }
 
 }  // namespace hydra::util

@@ -6,6 +6,7 @@
 // philosophy of the rest of the library.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <source_location>
@@ -59,5 +60,11 @@ class Config {
 
   std::map<std::string, std::string, std::less<>> values_;
 };
+
+/// The environment variable `name` as a whole unsigned decimal, or
+/// `fallback` when it is unset or empty. Throws std::invalid_argument
+/// naming the variable on anything else (sign, exponent, trailing
+/// characters, overflow).
+std::uint64_t env_u64(const char* name, std::uint64_t fallback);
 
 }  // namespace hydra::util

@@ -7,7 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +113,54 @@ TEST(EngineCacheKey, DistinguishesConfigs) {
   const workload::WorkloadProfile other =
       workload::spec2000_profile("crafty");
   EXPECT_NE(k0, run_point_key(other, PolicyKind::kDvs, {}, base));
+}
+
+// Run lengths from the environment are whole decimals or an error naming
+// the variable: "2e6" is not 2 instructions, "abc" not 0, "-5" not 2^64-5.
+TEST(EngineConfig, EnvRunLengthsRejectMalformedValues) {
+  const char* kVars[] = {"HYDRA_RUN_INSTRUCTIONS",
+                         "HYDRA_WARMUP_INSTRUCTIONS"};
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved;
+  for (const char* var : kVars) {
+    const char* v = std::getenv(var);
+    saved.emplace_back(var, v ? std::optional<std::string>(v) : std::nullopt);
+    unsetenv(var);
+  }
+  const SimConfig defaults;
+
+  setenv("HYDRA_RUN_INSTRUCTIONS", "250000", 1);
+  setenv("HYDRA_WARMUP_INSTRUCTIONS", "0", 1);
+  SimConfig cfg = default_sim_config();
+  EXPECT_EQ(cfg.run_instructions, 250'000u);
+  EXPECT_EQ(cfg.warmup_instructions, 0u);
+  unsetenv("HYDRA_WARMUP_INSTRUCTIONS");
+  EXPECT_EQ(default_sim_config().warmup_instructions,
+            defaults.warmup_instructions);
+
+  for (const char* var : kVars) {
+    for (const char* bad : {"2e6", "abc", "-5", "+5", " 5", "5x",
+                            "99999999999999999999"}) {
+      setenv(var, bad, 1);
+      try {
+        default_sim_config();
+        ADD_FAILURE() << var << "=" << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+            << e.what();
+      }
+    }
+    unsetenv(var);
+  }
+  setenv("HYDRA_RUN_INSTRUCTIONS", "0", 1);
+  EXPECT_THROW(default_sim_config(), std::invalid_argument);
+
+  for (const auto& [var, value] : saved) {
+    if (value) {
+      setenv(var, value->c_str(), 1);
+    } else {
+      unsetenv(var);
+    }
+  }
 }
 
 // Baselines are keyed by the *normalised* config: thermally relevant

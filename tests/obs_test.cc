@@ -1,6 +1,8 @@
 // Observability layer: metrics correctness under concurrency, trace
 // export well-formedness, and the hot-path contracts (disabled and
-// warmed-enabled record calls are allocation-free).
+// warmed-enabled record calls are allocation-free). The same allocation
+// counter also pins the engine's contracts: a warmed thermal step and a
+// repeated System::run() make no heap allocation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,13 +14,18 @@
 #include <thread>
 #include <vector>
 
+#include "floorplan/ev7.h"
+#include "floorplan/multicore.h"
 #include "obs/obs.h"
 #include "sim/experiment.h"
 #include "sim/multicore.h"
+#include "sim/system.h"
+#include "thermal/model_builder.h"
+#include "thermal/solver.h"
 #include "workload/spec_profiles.h"
 
 // Global allocation counter so the hot-path tests can assert record
-// calls never allocate (the layer's core contract).
+// calls and warmed engine paths never allocate.
 static std::atomic<std::uint64_t> g_heap_allocs{0};
 
 void* operator new(std::size_t size) {
@@ -182,6 +189,61 @@ TEST(Trace, DisabledRecordPathIsAllocationFree) {
   }
   EXPECT_EQ(allocs() - before, 0u);
   EXPECT_EQ(tracer.size(), 0u);
+}
+
+struct StepAllocs {
+  std::uint64_t allocs = 0;
+  bool sparse = false;  ///< the solver stepped through sparse LDL^T
+};
+
+/// Heap allocations over 1000 warmed steps of a solver on `fp`'s model
+/// (the first step factorises or builds the operator for this dt).
+StepAllocs warmed_step_allocs(const floorplan::Floorplan& fp,
+                              thermal::Scheme scheme) {
+  const auto model = thermal::build_thermal_model(fp, thermal::Package{});
+  thermal::TransientSolver solver(model.network, util::Celsius(45.0), scheme);
+  thermal::Vector power(model.network.size(), 0.0);
+  for (std::size_t i = 0; i < model.num_blocks; ++i) power[i] = 1.5;
+  const util::Seconds dt(3.3e-6);
+  solver.step(power, dt);
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 1000; ++i) solver.step(power, dt);
+  return {allocs() - before, solver.sparse_path()};
+}
+
+TEST(AllocationContract, BackwardEulerStep28Nodes) {
+  const StepAllocs r = warmed_step_allocs(floorplan::ev7_floorplan(),
+                                          thermal::Scheme::kBackwardEuler);
+  EXPECT_EQ(r.allocs, 0u);
+  EXPECT_FALSE(r.sparse);
+}
+
+TEST(AllocationContract, FusedStep28Nodes) {
+  const StepAllocs r = warmed_step_allocs(floorplan::ev7_floorplan(),
+                                          thermal::Scheme::kFusedBE);
+  EXPECT_EQ(r.allocs, 0u);
+  EXPECT_FALSE(r.sparse);
+}
+
+// The 298-node 16-core die is past the crossover: kFusedBE steps sparse.
+TEST(AllocationContract, FusedStepSparse16CoreDie) {
+  const StepAllocs r = warmed_step_allocs(floorplan::multicore_floorplan(16),
+                                          thermal::Scheme::kFusedBE);
+  EXPECT_EQ(r.allocs, 0u);
+  EXPECT_TRUE(r.sparse);
+}
+
+// Scratch buffers, accumulators and the thermal fixed point reuse member
+// storage, so a second run of the same System allocates nothing.
+TEST(AllocationContract, SecondSystemRun) {
+  sim::SimConfig cfg;
+  cfg.run_instructions = 120'000;
+  cfg.warmup_instructions = 40'000;
+  sim::System system(workload::spec2000_profile("gzip"), cfg, nullptr);
+  system.run();
+  const std::uint64_t before = allocs();
+  system.run();
+  EXPECT_EQ(allocs() - before, 0u);
 }
 
 /// Minimal structural JSON validation: balanced braces/brackets outside

@@ -275,7 +275,7 @@ TEST_P(SparseVsDenseSweep, FullRunWithin1e9OfDense) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseVsDenseSweep, ::testing::Range(0, 6));
 
 // Same bound on the model the paper's many-core figures step: the
-// 16-core die (the size the hydra_bench multicore metric measures).
+// 16-core die (the size perfbench's die16 workload steps).
 TEST(SparseVsDense, SixteenCoreDieFullRunWithin1e9) {
   const auto fp = floorplan::multicore_floorplan(16);
   const auto model = thermal::build_thermal_model(fp, thermal::Package{});

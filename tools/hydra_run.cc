@@ -28,9 +28,9 @@
 //   cores         core tiles on the die (default 1 = single-core paper
 //                 setup; >1 runs the MulticoreSystem with one policy
 //                 instance per tile)
-//   threads       worker threads stepping tiles within one run; 0 uses
-//                 the global pool width. Defaults to $HYDRA_THREADS when
-//                 set. Results are bit-identical at any value.
+//   threads       worker threads stepping tiles within one run; 0 (the
+//                 default) uses the global pool, which $HYDRA_THREADS
+//                 sizes. Results are bit-identical at any value.
 //   workload_threads  software threads on the die (0 = one per core;
 //                 fewer leaves idle tiles for the migration policy)
 //   per_core_dvs  true|false — per-tile voltage domains vs one global
@@ -63,8 +63,7 @@
 //   trace_csv     the same events as flat CSV
 //   metrics       metrics registry scrape as CSV (kind,name,field,value)
 //   summary_json  machine-readable run summary: results + engine cache
-//                 stats + merged metrics (consumed by CI's bench gate)
-#include <cstdlib>
+//                 stats + merged metrics (uploaded by CI's perf job)
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -216,17 +215,11 @@ int main(int argc, char** argv) {
 
     cfg.multicore.cores = static_cast<std::size_t>(
         cfg_args.get_int("cores", static_cast<long long>(cfg.multicore.cores)));
-    // Intra-run width: CLI key wins, else $HYDRA_THREADS, else the
-    // library default (global pool). Never part of the result.
-    long long threads_default =
-        static_cast<long long>(cfg.multicore.threads);
-    if (const char* env_threads = std::getenv("HYDRA_THREADS")) {
-      if (*env_threads != '\0') {
-        threads_default = std::strtoll(env_threads, nullptr, 10);
-      }
-    }
-    cfg.multicore.threads = static_cast<std::size_t>(
-        cfg_args.get_int("threads", threads_default));
+    // Intra-run width; never part of the result.
+    const long long threads = cfg_args.get_int(
+        "threads", static_cast<long long>(cfg.multicore.threads));
+    if (threads < 0) throw std::invalid_argument("threads must be >= 0");
+    cfg.multicore.threads = static_cast<std::size_t>(threads);
     cfg.multicore.workload_threads = static_cast<std::size_t>(
         cfg_args.get_int("workload_threads",
                          static_cast<long long>(
@@ -284,14 +277,11 @@ int main(int argc, char** argv) {
 
     // Crash-safe persistence is opt-in: an explicit cache_dir key, or
     // the HYDRA_CACHE_DIR environment as the ambient default.
-    const char* env_cache = std::getenv("HYDRA_CACHE_DIR");
-    const std::string cache_dir = cfg_args.get_string(
-        "cache_dir",
-        cfg_args.get_string("cache-dir",
-                            env_cache != nullptr ? env_cache : ""));
-    if (!cache_dir.empty()) {
-      sim::PersistentRunCache::Options store_opts;
-      store_opts.dir = cache_dir;
+    sim::PersistentRunCache::Options store_opts =
+        sim::PersistentRunCache::env_options();
+    store_opts.dir = cfg_args.get_string(
+        "cache_dir", cfg_args.get_string("cache-dir", store_opts.dir));
+    if (!store_opts.dir.empty()) {
       runner.set_store(
           std::make_shared<sim::PersistentRunCache>(std::move(store_opts)));
     }
