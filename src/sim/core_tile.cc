@@ -47,7 +47,6 @@ CoreTile::CoreTile(const SimConfig& cfg, arch::TraceSource& trace,
       switch_time_s_(cfg.dvs_switch_time.value() / cfg.time_scale),
       gate_quantum_s_(cfg.clock_gate_quantum.value() / cfg.time_scale),
       dvs_stall_(cfg.dvs_stall),
-      bulk_idle_skip_(cfg.bulk_idle_skip),
       freq_hz_(ladder_.point(0).frequency.value()) {
   if (!cfg.fault_campaign.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
@@ -91,19 +90,12 @@ double CoreTile::advance(long long n, bool measure, Drive drive) {
   const bool stalled = transition_active_ && dvs_stall_;
   if (drive != Drive::kThread || clock_gate_on_ || stalled) {
     // Idle spans touch no pipeline state, so the whole chunk advances in
-    // O(1); the result is bit-identical to the per-cycle loop
-    // (fastpath_test asserts it), which stays available behind the
-    // bulk_idle_skip knob as the reference path. A gated clock tree or
-    // an empty tile burns no base power; a stalled-but-clocked pipeline
-    // does.
+    // O(1) (Core::idle_cycles(n) matches n idle_cycle() calls bit for
+    // bit; fastpath_test asserts it). A gated clock tree or an empty
+    // tile burns no base power; a stalled-but-clocked pipeline does.
     const bool clocked = drive == Drive::kStall ||
                          (drive == Drive::kThread && !clock_gate_on_);
-    if (bulk_idle_skip_) {
-      core_.idle_cycles(static_cast<std::uint64_t>(n), clocked);
-    } else {
-      for (long long i = 0; i < n; ++i) core_.idle_cycle(clocked);
-    }
-    // Counted on both paths so RunResults stay comparable bit-for-bit.
+    core_.idle_cycles(static_cast<std::uint64_t>(n), clocked);
     if (measure) acc_.idle_cycles += static_cast<std::uint64_t>(n);
   } else {
     for (long long i = 0; i < n; ++i) core_.cycle();

@@ -150,7 +150,6 @@ class CoreTile {
   double switch_time_s_ = 0.0;
   double gate_quantum_s_ = 0.0;
   bool dvs_stall_ = false;
-  bool bulk_idle_skip_ = true;
 
   // Actuator state.
   double t_ = 0.0;  ///< tile clock [s]

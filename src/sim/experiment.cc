@@ -281,11 +281,9 @@ void hash_config_into(util::HashSink& h, const SimConfig& cfg) {
       .u64(cfg.warmup_instructions)
       .u64(cfg.run_instructions)
       .u64(cfg.activity_probe_instructions)
-      // Fast-path knobs are hashed even though both are result-invariant
-      // (bulk_idle_skip is bit-identical; fused_thermal agrees to 1e-9):
+      // fused_thermal is hashed even though it agrees with LU to 1e-9:
       // the memo cache must never serve a result computed under a
       // different numerical path than the caller asked for.
-      .boolean(cfg.bulk_idle_skip)
       .boolean(cfg.fused_thermal);
   hash_package(h, cfg.package);
   hash_sensor(h, cfg.sensor);

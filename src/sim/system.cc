@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.h"
-#include "thermal/sparse.h"
 
 namespace hydra::sim {
 
@@ -16,23 +15,25 @@ DieThermal::DieThermal(const SimConfig& cfg)
               cfg.fused_thermal ? thermal::Scheme::kFusedBE
                                 : thermal::Scheme::kBackwardEuler,
               shared_->lu_cache),
-      sparse_(thermal::use_sparse_step(shared_->model.network.size())),
       tile_temps_(floorplan::kNumBlocks),
       tile_watts_(floorplan::kNumBlocks),
       die_watts_(shared_->fp.size()),
       expanded_(shared_->model.network.size()),
-      start_temps_(shared_->model.network.size()),
       block_temp_weighted_(shared_->fp.size(), 0.0) {}
 
 void DieThermal::start(std::span<const arch::ActivityFrame> frames,
                        double power_scale) {
-  start_temps_.assign(start_temps_.size(), ambient_.value() + 30.0);
-  const thermal::LuCache& g = *shared_->lu_cache;
+  // Die blocks lead the node vector, so tile t's blocks sit at
+  // t * kNumBlocks in the solver's temperatures.
+  const thermal::Vector& temps = solver_.temperatures();
+  std::fill(tile_temps_.begin(), tile_temps_.end(), ambient_.value() + 30.0);
   for (int iter = 0; iter < 10; ++iter) {
     for (std::size_t t = 0; t < frames.size(); ++t) {
       const std::size_t base = t * floorplan::kNumBlocks;
-      std::copy_n(start_temps_.begin() + base, floorplan::kNumBlocks,
-                  tile_temps_.begin());
+      if (iter > 0) {
+        std::copy_n(temps.begin() + base, floorplan::kNumBlocks,
+                    tile_temps_.begin());
+      }
       unit_power_model().block_power_into(frames[t], nominal_.voltage,
                                           nominal_.frequency, tile_temps_,
                                           tile_watts_);
@@ -41,15 +42,8 @@ void DieThermal::start(std::span<const arch::ActivityFrame> frames,
       }
     }
     shared_->model.expand_power_into(die_watts_, expanded_);
-    if (sparse_) {
-      thermal::steady_state_into(g.steady_sparse(), expanded_, ambient_,
-                                 start_temps_, work_);
-    } else {
-      thermal::steady_state_into(g.steady(), expanded_, ambient_,
-                                 start_temps_);
-    }
+    solver_.initialize_steady_state(expanded_);
   }
-  solver_.set_temperatures(start_temps_);
 }
 
 DieThermal::Interval DieThermal::step(const std::vector<double>& watts,

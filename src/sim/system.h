@@ -56,9 +56,8 @@ struct RunResult {
   std::string hottest_block;            ///< block with highest mean temp
   double hottest_mean_celsius = 0.0;
   /// Fraction of measured cycles spent in idle spans (clock-gated quanta
-  /// or stalled DVS transitions) — the spans the bulk idle-skip fast path
-  /// advances in O(1). Counted identically whether the fast path or the
-  /// per-cycle reference loop executed them.
+  /// or stalled DVS transitions) — the spans the core tile advances in
+  /// O(1) through Core::idle_cycles(n).
   double idle_skip_fraction = 0.0;
   /// Times the fused-BE numerical guard rejected a step (NaN/Inf or
   /// divergence) during this run and fell back to the reference LU
@@ -100,8 +99,8 @@ class DieThermal {
   /// depends on temperature, so ten rounds of (block power at the
   /// nominal operating point -> steady-state temperatures) run from
   /// ambient + 30 C, tile i dissipating `frames[i]`'s activity scaled by
-  /// `power_scale`. G's shared factor is a dense LU below
-  /// kSparseCrossoverNodes and a sparse Cholesky at or above it.
+  /// `power_scale`. Each round is one solver steady-state solve, so the
+  /// solver's dense/sparse choice applies here too.
   void start(std::span<const arch::ActivityFrame> frames, double power_scale);
 
   struct Interval {
@@ -130,15 +129,12 @@ class DieThermal {
   util::Celsius ambient_;
   power::OperatingPoint nominal_;
   thermal::TransientSolver solver_;
-  bool sparse_ = false;  ///< steady solves through the sparse Cholesky
 
   // Preallocated scratch (no step or start allocates).
   std::vector<double> tile_temps_;
   std::vector<double> tile_watts_;
   std::vector<double> die_watts_;
   thermal::Vector expanded_;
-  thermal::Vector start_temps_;
-  thermal::Vector work_;  ///< sparse steady-solve scratch
 
   // Measured-window integrals.
   double violation_ = 0.0;

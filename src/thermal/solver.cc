@@ -18,16 +18,6 @@ Vector steady_state(const RcNetwork& net, const Vector& power,
   return rise;
 }
 
-Vector steady_state(const LuFactorization& g_lu, const Vector& power,
-                    util::Celsius ambient) {
-  if (power.size() != g_lu.size()) {
-    throw std::invalid_argument("power vector size mismatch");
-  }
-  Vector rise = g_lu.solve(power);
-  for (double& t : rise) t += ambient.value();
-  return rise;
-}
-
 void steady_state_into(const LuFactorization& g_lu, const Vector& power,
                        util::Celsius ambient, Vector& out) {
   if (power.size() != g_lu.size()) {
@@ -48,6 +38,26 @@ void steady_state_into(const SparseCholesky& g_chol, const Vector& power,
   for (double& t : out) t += ambient.value();
 }
 
+namespace {
+
+/// LuCache's lazy build, run under its lock: the first caller for an
+/// empty `slot` counts the build on `metric`, wraps it in a thermal
+/// trace span and stores the result; later callers get the stored
+/// object. A throwing build leaves the slot empty (the next call
+/// retries).
+template <class T, class Build>
+const T& build_once(std::unique_ptr<T>& slot, const char* metric,
+                    const char* span, const char* label, Build&& build) {
+  if (!slot) {
+    obs::metrics().counter(metric).add();
+    const obs::ScopedSpan s(obs::tracer(), "thermal", span, label);
+    slot = std::make_unique<T>(build());
+  }
+  return *slot;
+}
+
+}  // namespace
+
 LuCache::LuCache(const RcNetwork& net)
     : g_(net.conductance_matrix()),
       g_csr_(net.conductance_csr()),
@@ -57,116 +67,81 @@ LuCache::LuCache(const RcNetwork& net)
   }
 }
 
+Matrix LuCache::step_matrix(double dt) const {
+  Matrix a = g_;
+  for (std::size_t i = 0; i < capacitance_.size(); ++i) {
+    a(i, i) += capacitance_[i] / dt;
+  }
+  return a;
+}
+
 const LuFactorization& LuCache::steady() const {
   const util::LockGuard lock(mu_);
-  if (!steady_lu_) {
-    static const obs::Counter factorizations =
-        obs::metrics().counter("thermal.lu_factorizations");
-    factorizations.add();
-    const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
-                               "steady");
-    steady_lu_ = std::make_unique<LuFactorization>(g_);
-  }
-  return *steady_lu_;
+  return build_once(steady_lu_, "thermal.lu_factorizations", "lu_factorize",
+                    "steady", [&] { return LuFactorization(g_); });
 }
 
 const LuFactorization& LuCache::backward_euler(double dt) const {
   const util::LockGuard lock(mu_);
-  auto it = be_cache_.find(dt);
-  if (it == be_cache_.end()) {
-    static const obs::Counter factorizations =
-        obs::metrics().counter("thermal.lu_factorizations");
-    factorizations.add();
-    const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
-                               "backward_euler");
-    Matrix a = g_;
-    for (std::size_t i = 0; i < capacitance_.size(); ++i) {
-      a(i, i) += capacitance_[i] / dt;
-    }
-    it = be_cache_
-             .emplace(dt, std::make_unique<LuFactorization>(std::move(a)))
-             .first;
-  }
-  return *it->second;
+  return build_once(be_cache_[dt], "thermal.lu_factorizations",
+                    "lu_factorize", "backward_euler",
+                    [&] { return LuFactorization(step_matrix(dt)); });
 }
 
 const FusedStepOperator& LuCache::fused(double dt) const {
   const util::LockGuard lock(mu_);
-  auto it = fused_cache_.find(dt);
-  if (it == fused_cache_.end()) {
-    static const obs::Counter builds =
-        obs::metrics().counter("thermal.fused_operator_builds");
-    builds.add();
-    const obs::ScopedSpan span(obs::tracer(), "thermal", "lu_factorize",
-                               "fused_be");
-    const std::size_t n = capacitance_.size();
-    Matrix a = g_;
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += capacitance_[i] / dt;
-    const LuFactorization lu(std::move(a));
-    auto op = std::make_unique<FusedStepOperator>();
-    op->m = Matrix(n, n);
-    op->n = Matrix(n, n);
-    // Column j of N is the solve against the j-th basis vector; M scales
-    // each column by that node's C/dt.
-    Vector basis(n, 0.0);
-    Vector col(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      basis[j] = 1.0;
-      lu.solve_into(basis, col);
-      basis[j] = 0.0;
-      const double c_over_dt = capacitance_[j] / dt;
-      for (std::size_t i = 0; i < n; ++i) {
-        op->n(i, j) = col[i];
-        op->m(i, j) = col[i] * c_over_dt;
-      }
-    }
-    it = fused_cache_.emplace(dt, std::move(op)).first;
-  }
-  return *it->second;
+  return build_once(
+      fused_cache_[dt], "thermal.fused_operator_builds", "lu_factorize",
+      "fused_be", [&] {
+        const std::size_t n = capacitance_.size();
+        const LuFactorization lu(step_matrix(dt));
+        FusedStepOperator op{Matrix(n, n), Matrix(n, n)};
+        // Column j of N is the solve against the j-th basis vector; M
+        // scales each column by that node's C/dt.
+        Vector basis(n, 0.0);
+        Vector col(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          basis[j] = 1.0;
+          lu.solve_into(basis, col);
+          basis[j] = 0.0;
+          const double c_over_dt = capacitance_[j] / dt;
+          for (std::size_t i = 0; i < n; ++i) {
+            op.n(i, j) = col[i];
+            op.m(i, j) = col[i] * c_over_dt;
+          }
+        }
+        return op;
+      });
 }
 
 const SparseStepOperator& LuCache::sparse(double dt) const {
   const util::LockGuard lock(mu_);
-  auto it = sparse_cache_.find(dt);
-  if (it == sparse_cache_.end()) {
-    static const obs::Counter builds =
-        obs::metrics().counter("thermal.sparse_operator_builds");
-    builds.add();
-    const obs::ScopedSpan span(obs::tracer(), "thermal", "sparse_factorize",
-                               "sparse_be");
-    const std::size_t n = capacitance_.size();
-    // Assemble C/dt + G directly in CSR: copy the G structure and add
-    // the capacitive term on the (always present) diagonal entries.
-    CsrMatrix a = g_csr_;
-    Vector c_over_dt(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      c_over_dt[i] = capacitance_[i] / dt;
-      for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
-        if (static_cast<std::size_t>(a.col_idx[p]) == i) {
-          a.values[p] += c_over_dt[i];
-          break;
+  return build_once(
+      sparse_cache_[dt], "thermal.sparse_operator_builds", "sparse_factorize",
+      "sparse_be", [&] {
+        const std::size_t n = capacitance_.size();
+        // Assemble C/dt + G directly in CSR: copy the G structure and add
+        // the capacitive term on the (always present) diagonal entries.
+        CsrMatrix a = g_csr_;
+        Vector c_over_dt(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          c_over_dt[i] = capacitance_[i] / dt;
+          for (std::size_t p = a.row_ptr[i]; p < a.row_ptr[i + 1]; ++p) {
+            if (static_cast<std::size_t>(a.col_idx[p]) == i) {
+              a.values[p] += c_over_dt[i];
+              break;
+            }
+          }
         }
-      }
-    }
-    it = sparse_cache_
-             .emplace(dt, std::make_unique<SparseStepOperator>(
-                              SparseCholesky(a), std::move(c_over_dt)))
-             .first;
-  }
-  return *it->second;
+        return SparseStepOperator(SparseCholesky(a), std::move(c_over_dt));
+      });
 }
 
 const SparseCholesky& LuCache::steady_sparse() const {
   const util::LockGuard lock(mu_);
-  if (!steady_chol_) {
-    static const obs::Counter builds =
-        obs::metrics().counter("thermal.sparse_operator_builds");
-    builds.add();
-    const obs::ScopedSpan span(obs::tracer(), "thermal", "sparse_factorize",
-                               "steady");
-    steady_chol_ = std::make_unique<SparseCholesky>(g_csr_);
-  }
-  return *steady_chol_;
+  return build_once(steady_chol_, "thermal.sparse_operator_builds",
+                    "sparse_factorize", "steady",
+                    [&] { return SparseCholesky(g_csr_); });
 }
 
 TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
@@ -175,7 +150,7 @@ TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
     : net_(&net),
       ambient_(ambient.value()),
       scheme_(scheme),
-      g_(net.conductance_matrix()),
+      sparse_(use_sparse_step(net.size())),
       celsius_(net.size(), ambient.value()),
       lu_cache_(lu_cache ? std::move(lu_cache)
                          : std::make_shared<const LuCache>(net)),
@@ -187,9 +162,7 @@ TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
       k4_(net.size()),
       tmp_(net.size()),
       flow_(net.size()),
-      chol_work_(net.size()) {
-  use_sparse_ = scheme_ == Scheme::kFusedBE && use_sparse_step(net.size());
-}
+      chol_work_(net.size()) {}
 
 void TransientSolver::set_temperatures(const Vector& celsius) {
   if (celsius.size() != net_->size()) {
@@ -199,7 +172,7 @@ void TransientSolver::set_temperatures(const Vector& celsius) {
 }
 
 void TransientSolver::initialize_steady_state(const Vector& power) {
-  if (use_sparse_) {
+  if (sparse_) {
     // Same G, factorised sparsely; agrees with the dense steady solve
     // to solver round-off (sparse_test bounds it). A factorisation
     // failure (never expected — G is SPD by construction) falls back to
@@ -211,7 +184,8 @@ void TransientSolver::initialize_steady_state(const Vector& power) {
     } catch (const std::exception&) {
     }
   }
-  celsius_ = steady_state(lu_cache_->steady(), power, util::Celsius(ambient_));
+  steady_state_into(lu_cache_->steady(), power, util::Celsius(ambient_),
+                    celsius_);
 }
 
 void TransientSolver::step(const Vector& power, util::Seconds dt) {
@@ -226,11 +200,7 @@ void TransientSolver::step(const Vector& power, util::Seconds dt) {
       step_backward_euler(power, dt.value());
       break;
     case Scheme::kFusedBE:
-      if (use_sparse_) {
-        step_sparse_be(power, dt.value());
-      } else {
-        step_fused_be(power, dt.value());
-      }
+      step_fast(power, dt.value());
       break;
     case Scheme::kRk4:
       step_rk4(power, dt.value());
@@ -249,136 +219,97 @@ void TransientSolver::step_backward_euler(const Vector& power, double dt) {
   be_steps.add();
   const std::size_t n = net_->size();
   dt = round_step_dt(dt);
-  if (last_lu_ == nullptr || dt != last_dt_) {
-    last_lu_ = &lu_cache_->backward_euler(dt);
-    last_dt_ = dt;
+  if (lu_dt_ != dt) {
+    lu_ = &lu_cache_->backward_euler(dt);
+    lu_dt_ = dt;
   }
   for (std::size_t i = 0; i < n; ++i) {
     const double rise = celsius_[i] - ambient_;
     rhs_[i] = net_->capacitance(i).value() / dt * rise + power[i];
   }
-  last_lu_->solve_into(rhs_, rise_);
+  lu_->solve_into(rhs_, rise_);
   for (std::size_t i = 0; i < n; ++i) celsius_[i] = ambient_ + rise_[i];
 }
 
-void TransientSolver::step_fused_be(const Vector& power, double dt) {
-  // After a guard trip the fused operator is suspect for good: stay on
-  // the reference LU scheme for the rest of this solver's life.
-  if (fused_disabled_) {
+void TransientSolver::step_fast(const Vector& power, double dt) {
+  // After a trip the fast operator is suspect for good: stay on the
+  // reference LU scheme for the rest of this solver's life.
+  if (fast_disabled_) {
     step_backward_euler(power, dt);
     return;
   }
-  static const obs::Counter fused_steps =
-      obs::metrics().counter("thermal.fused_be_steps");
-  fused_steps.add();
-  const std::size_t n = net_->size();
-  const double dt_in = dt;
-  dt = round_step_dt(dt);
-  if (last_fused_ == nullptr || dt != last_fused_dt_) {
-    last_fused_ = &lu_cache_->fused(dt);
-    last_fused_dt_ = dt;
-  }
-  // rise' = M rise + N P — all scratch preallocated, so the
-  // steady-state path allocates nothing (the operator itself is built
-  // on first use). The candidate update is validated in scratch before
-  // celsius_ is touched, so a rejected step leaves the state exactly as
-  // it was and the LU fallback recomputes the same step from the same
-  // inputs.
-  for (std::size_t i = 0; i < n; ++i) rise_[i] = celsius_[i] - ambient_;
-  matvec(last_fused_->m.data(), n, n, rise_.data(), tmp_.data());
-  matvec(last_fused_->n.data(), n, n, power.data(), rhs_.data());
-  if (inject_fused_fault_) {
-    inject_fused_fault_ = false;
-    tmp_[0] = std::numeric_limits<double>::quiet_NaN();
-  }
-  bool ok = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double rise = tmp_[i] + rhs_[i];
-    tmp_[i] = rise;
-    // !(|rise| < bound) also catches NaN (any comparison is false).
-    if (!(std::abs(rise) < kMaxPlausibleRise)) ok = false;
-  }
-  if (ok) {
-    for (std::size_t i = 0; i < n; ++i) celsius_[i] = ambient_ + tmp_[i];
-    return;
-  }
-  ++fused_guard_trips_;
-  fused_disabled_ = true;
-  static const obs::Counter guard_trips =
-      obs::metrics().counter("thermal.fused_guard_trips");
-  guard_trips.add();
-  step_backward_euler(power, dt_in);
-}
-
-void TransientSolver::step_sparse_be(const Vector& power, double dt) {
-  // Mirror of step_fused_be's guard/fallback protocol on the sparse
-  // substitution path: after a trip (or a failed factorisation) the
-  // operator is suspect for good — stay on the reference LU scheme.
-  if (fused_disabled_) {
-    step_backward_euler(power, dt);
-    return;
-  }
-  static const obs::Counter sparse_steps =
-      obs::metrics().counter("thermal.sparse_be_steps");
-  sparse_steps.add();
-  const std::size_t n = net_->size();
-  const double dt_in = dt;
-  dt = round_step_dt(dt);
-  if (last_sparse_ == nullptr || dt != last_sparse_dt_) {
-    const SparseStepOperator* op = nullptr;
-    try {
-      op = &lu_cache_->sparse(dt);
-    } catch (const std::exception&) {
-      op = nullptr;
+  // The candidate rise is validated in scratch before celsius_ is
+  // touched, so a rejected step leaves the state exactly as it was and
+  // the LU fallback recomputes the same step from the same inputs.
+  if (fast_candidate(power, round_step_dt(dt))) {
+    if (inject_fault_) {
+      inject_fault_ = false;
+      tmp_[0] = std::numeric_limits<double>::quiet_NaN();
     }
-    if (op == nullptr) {
-      ++fused_guard_trips_;
-      fused_disabled_ = true;
-      static const obs::Counter guard_trips =
-          obs::metrics().counter("thermal.fused_guard_trips");
-      guard_trips.add();
-      step_backward_euler(power, dt_in);
+    const std::size_t n = net_->size();
+    bool ok = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      // !(|rise| < bound) also catches NaN (any comparison is false).
+      if (!(std::abs(tmp_[i]) < kMaxPlausibleRise)) ok = false;
+    }
+    if (ok) {
+      for (std::size_t i = 0; i < n; ++i) celsius_[i] = ambient_ + tmp_[i];
       return;
     }
-    last_sparse_ = op;
-    last_sparse_dt_ = dt;
   }
-  // rhs = (C/dt) rise + P, then one LDL^T substitution — all scratch
-  // preallocated, so the steady-state path allocates nothing. The
-  // explicit fma pins the rhs arithmetic (the compiler may or may not
-  // contract a * b + c on its own).
-  const Vector& c_over_dt = last_sparse_->c_over_dt;
-  for (std::size_t i = 0; i < n; ++i) {
-    rhs_[i] = std::fma(c_over_dt[i], celsius_[i] - ambient_, power[i]);
-  }
-  last_sparse_->chol.solve_into(rhs_.data(), tmp_.data(), chol_work_.data());
-  if (inject_fused_fault_) {
-    inject_fused_fault_ = false;
-    tmp_[0] = std::numeric_limits<double>::quiet_NaN();
-  }
-  // Same validate-in-scratch protocol as the fused step: a rejected
-  // candidate leaves celsius_ untouched and LU recomputes the step.
-  bool ok = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    // !(|rise| < bound) also catches NaN (any comparison is false).
-    if (!(std::abs(tmp_[i]) < kMaxPlausibleRise)) ok = false;
-  }
-  if (ok) {
-    for (std::size_t i = 0; i < n; ++i) celsius_[i] = ambient_ + tmp_[i];
-    return;
-  }
-  ++fused_guard_trips_;
-  fused_disabled_ = true;
+  ++guard_trips_;
+  fast_disabled_ = true;
   static const obs::Counter guard_trips =
       obs::metrics().counter("thermal.fused_guard_trips");
   guard_trips.add();
-  step_backward_euler(power, dt_in);
+  step_backward_euler(power, dt);
+}
+
+bool TransientSolver::fast_candidate(const Vector& power, double dt) {
+  // Writes the candidate rise into tmp_; all scratch is preallocated, so
+  // the steady-state path allocates nothing (the operator itself is
+  // built on first use). False when the operator cannot be built.
+  static const obs::Counter fused_steps =
+      obs::metrics().counter("thermal.fused_be_steps");
+  static const obs::Counter sparse_steps =
+      obs::metrics().counter("thermal.sparse_be_steps");
+  (sparse_ ? sparse_steps : fused_steps).add();
+  if (fast_dt_ != dt) {
+    try {
+      if (sparse_) {
+        sparse_op_ = &lu_cache_->sparse(dt);
+      } else {
+        fused_op_ = &lu_cache_->fused(dt);
+      }
+    } catch (const std::exception&) {
+      return false;
+    }
+    fast_dt_ = dt;
+  }
+  const std::size_t n = net_->size();
+  if (sparse_) {
+    // rhs = (C/dt) rise + P, then one LDL^T substitution. The explicit
+    // fma pins the rhs arithmetic (the compiler may or may not contract
+    // a * b + c on its own).
+    const Vector& c_over_dt = sparse_op_->c_over_dt;
+    for (std::size_t i = 0; i < n; ++i) {
+      rhs_[i] = std::fma(c_over_dt[i], celsius_[i] - ambient_, power[i]);
+    }
+    sparse_op_->chol.solve_into(rhs_.data(), tmp_.data(), chol_work_.data());
+    return true;
+  }
+  // rise' = M rise + N P.
+  for (std::size_t i = 0; i < n; ++i) rise_[i] = celsius_[i] - ambient_;
+  matvec(fused_op_->m.data(), n, n, rise_.data(), tmp_.data());
+  matvec(fused_op_->n.data(), n, n, power.data(), rhs_.data());
+  for (std::size_t i = 0; i < n; ++i) tmp_[i] += rhs_[i];
+  return true;
 }
 
 void TransientSolver::derivative_into(const Vector& rise, const Vector& power,
                                       Vector& d) {
   const std::size_t n = net_->size();
-  g_.multiply_into(rise, flow_);
+  lu_cache_->conductance_csr().multiply_into(rise.data(), flow_.data());
   d.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     d[i] = (power[i] - flow_[i]) / net_->capacitance(i).value();

@@ -24,12 +24,9 @@ Vector steady_state(const RcNetwork& net, const Vector& power,
 
 /// Same computation against a prebuilt factorisation of the conductance
 /// matrix G (bit-identical to the overload above when `g_lu` was built
-/// from `net.conductance_matrix()`).
-Vector steady_state(const LuFactorization& g_lu, const Vector& power,
-                    util::Celsius ambient);
-
-/// Allocation-free variant: writes the solution into `out` (resized on
-/// first use, reused afterwards). `out` must not alias `power`.
+/// from `net.conductance_matrix()`), written into `out` (resized on first
+/// use, reused afterwards, so repeated solves allocate nothing). `out`
+/// must not alias `power`.
 void steady_state_into(const LuFactorization& g_lu, const Vector& power,
                        util::Celsius ambient, Vector& out);
 
@@ -86,7 +83,7 @@ struct SparseStepOperator {
 /// entries and integrate identical step lengths.
 double round_step_dt(double dt);
 
-/// Guard bound shared by the fused and sparse steps: a temperature rise
+/// Bound of the fast-path guard (fused or sparse step): a temperature rise
 /// beyond this is divergence, not physics (silicon melts three orders of
 /// magnitude earlier). Deliberately loose so the guard can never veto a
 /// legitimate transient.
@@ -99,6 +96,9 @@ inline constexpr double kMaxPlausibleRise = 1.0e6;
 /// time_scale) — solving against a factorisation (or multiplying by a
 /// fused operator) is read-only, so concurrent solvers are safe; only
 /// the first builder of a given dt pays the construction cost.
+///
+/// Every operator is built lazily, once, under the cache lock; each build
+/// bumps a `thermal.*` counter and records a `thermal` trace span.
 class LuCache {
  public:
   explicit LuCache(const RcNetwork& net);
@@ -132,6 +132,9 @@ class LuCache {
   const CsrMatrix& conductance_csr() const { return g_csr_; }
 
  private:
+  /// C/dt + G, dense: the matrix backward_euler() and fused() invert.
+  Matrix step_matrix(double dt) const;
+
   Matrix g_;
   CsrMatrix g_csr_;
   Vector capacitance_;
@@ -157,6 +160,12 @@ class LuCache {
 /// factorisations live in an LuCache that may be shared across solvers;
 /// a per-solver memo of the last dt keeps the steady-state hot path free
 /// of both locking and map lookups.
+///
+/// The solver is the one place that picks dense or sparse: at
+/// construction, from the node count alone (sparse.h, use_sparse_step).
+/// Steady-state solves follow that choice under every scheme; kFusedBE
+/// steps follow it too (sparse LDL^T substitution, else the dense fused
+/// operator), behind one guard that falls back to the LU scheme.
 class TransientSolver {
  public:
   /// `lu_cache` may be shared across solvers over the same network; when
@@ -167,7 +176,11 @@ class TransientSolver {
 
   /// Set all node temperatures [deg C].
   void set_temperatures(const Vector& celsius);
-  /// Initialise to the steady state for `power`.
+  /// Set the temperatures to the steady state for `power`: a sparse
+  /// Cholesky solve on a sparse-sized model (falling back to the dense LU
+  /// if that factorisation fails), a dense LU solve otherwise. Allocates
+  /// nothing once the factor is built, so fixed-point loops can call it
+  /// every round.
   void initialize_steady_state(const Vector& power);
 
   /// Advance by `dt` with constant per-node power [W].
@@ -181,53 +194,50 @@ class TransientSolver {
   util::Celsius ambient() const { return util::Celsius(ambient_); }
 
   /// Times the fast-path guard (fused or sparse) rejected a step
-  /// (NaN/Inf or divergence) and fell back to the reference LU path.
-  /// After the first trip the solver stays on LU for its lifetime — the
-  /// step operator is suspect, and LU is the scheme it was validated
-  /// against.
-  std::uint64_t fused_guard_trips() const { return fused_guard_trips_; }
+  /// (NaN/Inf, divergence or a failed operator build) and fell back to
+  /// the reference LU path. After the first trip the solver stays on LU
+  /// for its lifetime — the step operator is suspect, and LU is the
+  /// scheme it was validated against.
+  std::uint64_t fused_guard_trips() const { return guard_trips_; }
 
   /// Test seam: poison the next fast-path step's candidate update with
   /// a NaN, as a corrupted step operator would. The guard must catch
   /// it, fall back to LU within the same step, and keep the run's
   /// results identical to a pure-LU twin (recovery_test asserts this;
   /// sparse_test asserts the sparse-path twin).
-  void inject_fused_fault_for_test() { inject_fused_fault_ = true; }
+  void inject_fused_fault_for_test() { inject_fault_ = true; }
 
   /// True when Scheme::kFusedBE steps route through the sparse LDL^T
-  /// substitution for this model size (sparse.h, use_sparse_step —
-  /// resolved once at construction).
-  bool sparse_path() const { return use_sparse_; }
+  /// substitution for this model size.
+  bool sparse_path() const { return scheme_ == Scheme::kFusedBE && sparse_; }
 
  private:
   void step_backward_euler(const Vector& power, double dt);
-  void step_fused_be(const Vector& power, double dt);
-  void step_sparse_be(const Vector& power, double dt);
+  void step_fast(const Vector& power, double dt);
+  bool fast_candidate(const Vector& power, double dt);
   void step_rk4(const Vector& power, double dt);
   void derivative_into(const Vector& rise, const Vector& power, Vector& d);
 
   const RcNetwork* net_;
   double ambient_;
   Scheme scheme_;
-  Matrix g_;
+  /// Dense or sparse, decided once at construction (use_sparse_step).
+  bool sparse_ = false;
   Vector celsius_;
   std::shared_ptr<const LuCache> lu_cache_;
-  // Last-used factorisation memo: the common case is a constant dt, so
-  // the per-step path touches neither the cache mutex nor the map.
-  double last_dt_ = 0.0;
-  const LuFactorization* last_lu_ = nullptr;
-  double last_fused_dt_ = 0.0;
-  const FusedStepOperator* last_fused_ = nullptr;
-  double last_sparse_dt_ = 0.0;
-  const SparseStepOperator* last_sparse_ = nullptr;
-  /// kFusedBE routes through the sparse path for this model (decided
-  /// once at construction from the node count, use_sparse_step).
-  bool use_sparse_ = false;
-  // Fast-path numerical guard state, shared by the fused and sparse
-  // steps (see step_fused_be / step_sparse_be).
-  std::uint64_t fused_guard_trips_ = 0;
-  bool fused_disabled_ = false;
-  bool inject_fused_fault_ = false;
+  // Last-used operator memos, keyed by the rounded dt (0 = empty): the
+  // common case is a constant dt, so the per-step path touches neither
+  // the cache mutex nor the map. The fast memo holds whichever of the
+  // two operators `sparse_` selects.
+  double lu_dt_ = 0.0;
+  const LuFactorization* lu_ = nullptr;
+  double fast_dt_ = 0.0;
+  const FusedStepOperator* fused_op_ = nullptr;
+  const SparseStepOperator* sparse_op_ = nullptr;
+  // Fast-path guard state (see step_fast).
+  std::uint64_t guard_trips_ = 0;
+  bool fast_disabled_ = false;
+  bool inject_fault_ = false;
   // Preallocated scratch so the per-step hot path never allocates.
   Vector rhs_;
   Vector rise_;

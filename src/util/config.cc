@@ -75,8 +75,9 @@ Config Config::from_string(std::string_view text) {
 Config Config::from_args(const std::vector<std::string>& args) {
   Config cfg;
   for (const auto& arg : args) {
-    // GNU-style leading dashes are cosmetic: --trace=out.json and
-    // trace=out.json set the same key.
+    // GNU-style spelling is cosmetic: leading dashes are dropped and
+    // dashes inside the key read as underscores, so --summary-json=s.json
+    // and summary_json=s.json set the same key. Values keep their dashes.
     std::string_view a = arg;
     while (!a.empty() && a.front() == '-') a.remove_prefix(1);
     const std::size_t eq = a.find('=');
@@ -84,8 +85,9 @@ Config Config::from_args(const std::vector<std::string>& args) {
       throw std::invalid_argument("expected key=value argument, got '" + arg +
                                   "'");
     }
-    cfg.set(std::string(trim(a.substr(0, eq))),
-            std::string(trim(a.substr(eq + 1))));
+    std::string key(trim(a.substr(0, eq)));
+    std::replace(key.begin(), key.end(), '-', '_');
+    cfg.set(std::move(key), std::string(trim(a.substr(eq + 1))));
   }
   return cfg;
 }

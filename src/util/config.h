@@ -24,8 +24,9 @@ class Config {
   /// lines ignored. Throws std::invalid_argument on malformed lines.
   static Config from_string(std::string_view text);
 
-  /// Parse argv-style overrides ("key=value" each). Unrecognised shapes
-  /// throw std::invalid_argument.
+  /// Parse argv-style overrides ("key=value" each). Leading dashes are
+  /// dropped and '-' in a key reads as '_' ("--cache-dir=x" sets
+  /// cache_dir). Unrecognised shapes throw std::invalid_argument.
   static Config from_args(const std::vector<std::string>& args);
 
   /// Set/overwrite a key.

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "run_result_testing.h"
 #include "sim/experiment.h"
 #include "sim/model_cache.h"
 #include "util/thread_pool.h"
@@ -30,24 +31,6 @@ SimConfig short_config() {
   cfg.run_instructions = 60'000;
   cfg.warmup_instructions = 20'000;
   return cfg;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-  EXPECT_EQ(a.above_trigger_fraction, b.above_trigger_fraction);
-  EXPECT_EQ(a.dvs_transitions, b.dvs_transitions);
-  EXPECT_EQ(a.mean_gate_fraction, b.mean_gate_fraction);
-  EXPECT_EQ(a.dvs_low_fraction, b.dvs_low_fraction);
-  EXPECT_EQ(a.mean_power_watts, b.mean_power_watts);
-  EXPECT_EQ(a.hottest_block, b.hottest_block);
-  EXPECT_EQ(a.hottest_mean_celsius, b.hottest_mean_celsius);
 }
 
 // The engine's core guarantee: results are bit-identical at any pool
@@ -77,9 +60,10 @@ TEST(EngineDeterminism, SuiteIdenticalAcrossPoolWidths) {
     ASSERT_EQ(a[s].per_benchmark.size(), b[s].per_benchmark.size());
     for (std::size_t i = 0; i < a[s].per_benchmark.size(); ++i) {
       EXPECT_EQ(a[s].per_benchmark[i].slowdown, b[s].per_benchmark[i].slowdown);
-      expect_identical(a[s].per_benchmark[i].dtm, b[s].per_benchmark[i].dtm);
-      expect_identical(a[s].per_benchmark[i].baseline,
-                       b[s].per_benchmark[i].baseline);
+      EXPECT_TRUE(identical_run_results(a[s].per_benchmark[i].dtm,
+                                        b[s].per_benchmark[i].dtm));
+      EXPECT_TRUE(identical_run_results(a[s].per_benchmark[i].baseline,
+                                        b[s].per_benchmark[i].baseline));
     }
   }
 }
@@ -213,7 +197,7 @@ TEST(EngineMemoization, RepeatedPointsHitCache) {
   EXPECT_GE(after_second.hits, 2u);
 
   EXPECT_EQ(first.slowdown, second.slowdown);
-  expect_identical(first.dtm, second.dtm);
+  EXPECT_TRUE(identical_run_results(first.dtm, second.dtm));
 
   // A different policy over the same profile reuses the baseline.
   runner.run(profile, PolicyKind::kFetchGating, {}, cfg);
@@ -276,8 +260,9 @@ TEST(EngineObservability, TracingDoesNotChangeResults) {
   ASSERT_EQ(plain.size(), traced.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].slowdown, traced[i].slowdown);
-    expect_identical(plain[i].dtm, traced[i].dtm);
-    expect_identical(plain[i].baseline, traced[i].baseline);
+    EXPECT_TRUE(identical_run_results(plain[i].dtm, traced[i].dtm));
+    EXPECT_TRUE(
+        identical_run_results(plain[i].baseline, traced[i].baseline));
   }
 }
 

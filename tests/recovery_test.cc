@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "run_result_testing.h"
 #include "sim/experiment.h"
 #include "sim/persistent_cache.h"
 #include "sim/run_cache.h"
@@ -33,23 +34,6 @@ SimConfig short_config() {
   cfg.run_instructions = 60'000;
   cfg.warmup_instructions = 20'000;
   return cfg;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.benchmark, b.benchmark);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.ipc, b.ipc);
-  EXPECT_EQ(a.max_true_celsius, b.max_true_celsius);
-  EXPECT_EQ(a.violation_fraction, b.violation_fraction);
-  EXPECT_EQ(a.dvs_transitions, b.dvs_transitions);
-  EXPECT_EQ(a.mean_gate_fraction, b.mean_gate_fraction);
-  EXPECT_EQ(a.dvs_low_fraction, b.dvs_low_fraction);
-  EXPECT_EQ(a.mean_power_watts, b.mean_power_watts);
-  EXPECT_EQ(a.hottest_block, b.hottest_block);
-  EXPECT_EQ(a.hottest_mean_celsius, b.hottest_mean_celsius);
 }
 
 /// Fresh per-test directory under the gtest temp root.
@@ -249,7 +233,10 @@ TEST(SolverGuard, FusedFaultFallsBackToLuBitIdentically) {
 
   EXPECT_EQ(faulted_result.solver_guard_trips, 1u);
   EXPECT_EQ(reference_result.solver_guard_trips, 0u);
-  expect_identical(faulted_result, reference_result);
+  // Every other field must match: the trip count is the only trace.
+  RunResult faulted_untripped = faulted_result;
+  faulted_untripped.solver_guard_trips = 0;
+  EXPECT_TRUE(identical_run_results(faulted_untripped, reference_result));
 }
 
 TEST(SolverGuard, HealthyFusedRunNeverTrips) {
@@ -281,16 +268,83 @@ TEST(SolverGuard, TripIsCountedInMetricsRegistry) {
 // Persistent store: serialization, warm restart, chaos recovery.
 
 TEST(PersistentCache, SerializationRoundTripsBitExactly) {
-  RunResult r = tiny_result("roundtrip");
+  // Every field distinct from its default and from every other field, so
+  // a serializer that dropped, swapped or truncated one cannot pass.
+  RunResult r;
+  r.benchmark = "roundtrip";
+  r.policy = "test";
   r.wall_seconds = 0.1234567890123456789;
+  r.instructions = 1001;
+  r.cycles = 1002;
+  r.ipc = 2.5;
   r.max_true_celsius = 84.099999999999994;
+  r.violation_fraction = 0.03;
+  r.above_trigger_fraction = 0.04;
+  r.dvs_transitions = 1003;
+  r.mean_gate_fraction = 0.05;
+  r.mean_issue_gate_fraction = 0.06;
+  r.dvs_low_fraction = 0.07;
+  r.clock_gated_fraction = 0.08;
+  r.mean_power_watts = 31.5;
   r.hottest_block = "IntReg";
+  r.hottest_mean_celsius = 79.25;
+  r.idle_skip_fraction = 0.09;
   r.solver_guard_trips = 3;
+  r.faulted_samples = 1004;
+  r.sensor_rejections = 1005;
+  r.quarantine_entries = 1006;
+  r.failsafe_fraction = 0.11;
+  r.fault_window_fraction = 0.12;
+  r.fault_violation_fraction = 0.13;
+  r.cores = 16;
+  r.thread_migrations = 1007;
+  r.core_temp_spread_celsius = 4.75;
+  r.budget_throttled_fraction = 0.14;
+
+  const auto fields = run_result_fields(r);
+  const auto defaults = run_result_fields(RunResult{});
+  ASSERT_EQ(fields.size(), 29u);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_NE(fields[i].second, defaults[i].second) << fields[i].first;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_NE(fields[i].second, fields[j].second)
+          << fields[i].first << " vs " << fields[j].first;
+    }
+  }
+
   const std::string payload = serialize_run_result(r);
   RunResult back;
   ASSERT_TRUE(deserialize_run_result(payload, back));
-  expect_identical(r, back);
+  EXPECT_EQ(back.benchmark, "roundtrip");
+  EXPECT_EQ(back.policy, "test");
+  EXPECT_EQ(back.wall_seconds, 0.1234567890123456789);
+  EXPECT_EQ(back.instructions, 1001u);
+  EXPECT_EQ(back.cycles, 1002u);
+  EXPECT_EQ(back.ipc, 2.5);
+  EXPECT_EQ(back.max_true_celsius, 84.099999999999994);
+  EXPECT_EQ(back.violation_fraction, 0.03);
+  EXPECT_EQ(back.above_trigger_fraction, 0.04);
+  EXPECT_EQ(back.dvs_transitions, 1003u);
+  EXPECT_EQ(back.mean_gate_fraction, 0.05);
+  EXPECT_EQ(back.mean_issue_gate_fraction, 0.06);
+  EXPECT_EQ(back.dvs_low_fraction, 0.07);
+  EXPECT_EQ(back.clock_gated_fraction, 0.08);
+  EXPECT_EQ(back.mean_power_watts, 31.5);
+  EXPECT_EQ(back.hottest_block, "IntReg");
+  EXPECT_EQ(back.hottest_mean_celsius, 79.25);
+  EXPECT_EQ(back.idle_skip_fraction, 0.09);
   EXPECT_EQ(back.solver_guard_trips, 3u);
+  EXPECT_EQ(back.faulted_samples, 1004u);
+  EXPECT_EQ(back.sensor_rejections, 1005u);
+  EXPECT_EQ(back.quarantine_entries, 1006u);
+  EXPECT_EQ(back.failsafe_fraction, 0.11);
+  EXPECT_EQ(back.fault_window_fraction, 0.12);
+  EXPECT_EQ(back.fault_violation_fraction, 0.13);
+  EXPECT_EQ(back.cores, 16u);
+  EXPECT_EQ(back.thread_migrations, 1007u);
+  EXPECT_EQ(back.core_temp_spread_celsius, 4.75);
+  EXPECT_EQ(back.budget_throttled_fraction, 0.14);
+  EXPECT_TRUE(identical_run_results(r, back));
 
   // Structural damage must be detected, not misread.
   RunResult scratch;
@@ -432,8 +486,9 @@ TEST(PersistentCache, WarmRestartServesEverythingFromDisk) {
   EXPECT_GT(stats.disk_hits, 0u);
   ASSERT_EQ(warm.size(), cold.size());
   for (std::size_t i = 0; i < warm.size(); ++i) {
-    expect_identical(warm[i].dtm, cold[i].dtm);
-    expect_identical(warm[i].baseline, cold[i].baseline);
+    EXPECT_TRUE(identical_run_results(warm[i].dtm, cold[i].dtm));
+    EXPECT_TRUE(
+        identical_run_results(warm[i].baseline, cold[i].baseline));
     EXPECT_EQ(warm[i].slowdown, cold[i].slowdown);
   }
 }
@@ -517,8 +572,9 @@ TEST(PersistentCache, ChaosCorruptionIsQuarantinedAndRecomputed) {
   EXPECT_EQ(stats.computes, 2u);  // exactly the two damaged run entries
   ASSERT_EQ(restarted.size(), cold.size());
   for (std::size_t i = 0; i < restarted.size(); ++i) {
-    expect_identical(restarted[i].dtm, cold[i].dtm);
-    expect_identical(restarted[i].baseline, cold[i].baseline);
+    EXPECT_TRUE(identical_run_results(restarted[i].dtm, cold[i].dtm));
+    EXPECT_TRUE(
+        identical_run_results(restarted[i].baseline, cold[i].baseline));
   }
 
   // Quarantined evidence is preserved, not deleted.

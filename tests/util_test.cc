@@ -251,6 +251,21 @@ TEST(Config, FromArgsAndMerge) {
   EXPECT_THROW(Config::from_args({"bad"}), std::invalid_argument);
 }
 
+TEST(Config, FromArgsMapsDashesInKeysToUnderscores) {
+  const auto cfg = Config::from_args(
+      {"--workload-threads=2", "-cache-dir=run-cache", "summary_json=s-1.json",
+       "--trace=t.json"});
+  EXPECT_EQ(cfg.get_int("workload_threads", 0), 2);
+  // Only keys are mapped: values keep their dashes.
+  EXPECT_EQ(cfg.get_string("cache_dir", ""), "run-cache");
+  EXPECT_EQ(cfg.get_string("summary_json", ""), "s-1.json");
+  EXPECT_EQ(cfg.get_string("trace", ""), "t.json");
+  EXPECT_FALSE(cfg.contains("workload-threads"));
+  EXPECT_EQ(cfg.keys().size(), 4u);
+  EXPECT_NO_THROW(cfg.reject_unknown(
+      {"workload_threads", "cache_dir", "summary_json", "trace"}));
+}
+
 // ------------------------------------------------------------------ csv
 TEST(Csv, EscapesSpecials) {
   EXPECT_EQ(CsvWriter::escape("plain"), "plain");

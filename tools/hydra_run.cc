@@ -53,12 +53,13 @@
 //                 run exits nonzero with a typed timeout diagnostic
 //   max_attempts  retry budget for runs that fail transiently (default 1)
 //
-// Unknown keys are rejected with a one-line file:line diagnostic and a
+// Any key may be spelled with dashes or underscores, with or without a
+// leading `--` (`--workload-threads=2` sets workload_threads). Unknown
+// keys are rejected with a one-line file:line diagnostic and a
 // closest-spelling suggestion; the process exits nonzero.
 //
 // Observability outputs (any of these enables tracing + metrics for the
-// whole run; keys may be spelled with dashes or underscores, and a
-// leading `--` is accepted, so `--trace=out.json` works):
+// whole run):
 //   trace         Chrome trace-event JSON (chrome://tracing, Perfetto)
 //   trace_csv     the same events as flat CSV
 //   metrics       metrics registry scrape as CSV (kind,name,field,value)
@@ -181,8 +182,7 @@ int main(int argc, char** argv) {
         "benchmark", "policy", "format", "dvs_stall", "dvs_steps",
         "v_low_fraction", "time_scale", "run_instructions",
         "warmup_instructions", "seed", "fault_campaign", "crossover",
-        "guard", "trace", "trace_csv", "trace-csv", "metrics",
-        "summary_json", "summary-json", "cache_dir", "cache-dir",
+        "guard", "trace", "trace_csv", "metrics", "summary_json", "cache_dir",
         "timeout_seconds", "max_attempts", "cores", "threads",
         "workload_threads", "per_core_dvs", "migration",
         "migration_cost_cycles", "power_budget", "trigger", "emergency",
@@ -250,11 +250,9 @@ int main(int argc, char** argv) {
     params.guarded = cfg_args.get_bool("guard", false);
 
     const std::string trace_path = cfg_args.get_string("trace", "");
-    const std::string trace_csv_path = cfg_args.get_string(
-        "trace_csv", cfg_args.get_string("trace-csv", ""));
+    const std::string trace_csv_path = cfg_args.get_string("trace_csv", "");
     const std::string metrics_path = cfg_args.get_string("metrics", "");
-    const std::string summary_path = cfg_args.get_string(
-        "summary_json", cfg_args.get_string("summary-json", ""));
+    const std::string summary_path = cfg_args.get_string("summary_json", "");
     const bool observe = !trace_path.empty() || !trace_csv_path.empty() ||
                          !metrics_path.empty() || !summary_path.empty();
     // Enable before the runner spawns its pool so workers register their
@@ -279,8 +277,7 @@ int main(int argc, char** argv) {
     // the HYDRA_CACHE_DIR environment as the ambient default.
     sim::PersistentRunCache::Options store_opts =
         sim::PersistentRunCache::env_options();
-    store_opts.dir = cfg_args.get_string(
-        "cache_dir", cfg_args.get_string("cache-dir", store_opts.dir));
+    store_opts.dir = cfg_args.get_string("cache_dir", store_opts.dir);
     if (!store_opts.dir.empty()) {
       runner.set_store(
           std::make_shared<sim::PersistentRunCache>(std::move(store_opts)));
