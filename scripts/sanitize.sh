@@ -2,8 +2,8 @@
 # Run the concurrency-sensitive test labels (faults + perf + recovery)
 # under the sanitizers. ASan+UBSan catches lifetime/UB bugs in the
 # engine's caches and the thermal kernels (thermal_test and sparse_test
-# under the perf label cover the dense LU, RK4, steady-state and sparse
-# substitution paths); TSan catches data
+# under the perf label cover the dense LU, the test-local RK4 reference,
+# steady-state and sparse substitution paths); TSan catches data
 # races in the thread pool, RunCache, LuCache and the persistent
 # store's recovery/eviction paths (the chaos test in recovery_test
 # corrupts and re-opens the store under load).

@@ -127,20 +127,6 @@ int Core::queue_class(OpClass cls) const {
   return 0;
 }
 
-Core::RobEntry& Core::rob_at_seq(std::uint64_t seq) {
-  assert(seq >= head_seq_ && seq - head_seq_ < rob_count_);
-  std::size_t idx = rob_head_ + static_cast<std::size_t>(seq - head_seq_);
-  if (idx >= rob_.size()) idx -= rob_.size();
-  return rob_[idx];
-}
-
-const Core::RobEntry& Core::rob_at_seq(std::uint64_t seq) const {
-  assert(seq >= head_seq_ && seq - head_seq_ < rob_count_);
-  std::size_t idx = rob_head_ + static_cast<std::size_t>(seq - head_seq_);
-  if (idx >= rob_.size()) idx -= rob_.size();
-  return rob_[idx];
-}
-
 int Core::ifetch_latency(std::uint64_t pc) {
   interval_.add(BlockId::kICache);
   interval_.add(BlockId::kITB);

@@ -160,8 +160,6 @@ class Core {
   /// time for a scan stalled only on MSHR structural hazards.
   std::int64_t mshr_min_release() const;
 
-  RobEntry& rob_at_seq(std::uint64_t seq);
-  const RobEntry& rob_at_seq(std::uint64_t seq) const;
   int queue_class(OpClass cls) const;  ///< 0=int, 1=fp, 2=ls
 
   /// Memory hierarchy lookups; return total access latency in cycles and

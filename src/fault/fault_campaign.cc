@@ -218,26 +218,4 @@ std::size_t FaultCampaign::max_sensor() const {
   return m;
 }
 
-std::string FaultCampaign::to_string(
-    const std::vector<std::string_view>& names) const {
-  std::ostringstream out;
-  out << "# sensor kind start_s duration_s magnitude probability\n";
-  out << "seed " << seed_ << '\n';
-  for (const FaultEvent& e : events_) {
-    if (e.sensor < names.size()) {
-      out << names[e.sensor];
-    } else {
-      out << e.sensor;
-    }
-    out << ' ' << fault_kind_name(e.kind) << ' ' << e.start_seconds << ' ';
-    if (std::isinf(e.duration_seconds)) {
-      out << "inf";
-    } else {
-      out << e.duration_seconds;
-    }
-    out << ' ' << e.magnitude << ' ' << e.probability << '\n';
-  }
-  return out.str();
-}
-
 }  // namespace hydra::fault

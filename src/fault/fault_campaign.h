@@ -106,11 +106,6 @@ class FaultCampaign {
   /// Largest sensor index referenced, or 0 for an empty campaign.
   std::size_t max_sensor() const;
 
-  /// Canonical text serialisation (round-trips through from_string given
-  /// the same name table).
-  std::string to_string(
-      const std::vector<std::string_view>& sensor_names) const;
-
  private:
   std::vector<FaultEvent> events_;
   std::uint64_t seed_ = 0xFA017;

@@ -26,13 +26,6 @@ FaultInjector::FaultInjector(sensor::SensorBank& bank, FaultCampaign campaign,
   last_output_.assign(bank.count(), 0.0);
 }
 
-std::vector<double> FaultInjector::sample(const std::vector<double>& truth,
-                                          double t) {
-  std::vector<double> out;
-  sample_into(truth, t, out);
-  return out;
-}
-
 void FaultInjector::sample_into(const std::vector<double>& truth, double t,
                                 std::vector<double>& out) {
   const std::size_t n = bank_.count();

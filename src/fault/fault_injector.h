@@ -46,13 +46,11 @@ class FaultInjector {
     armed_ = true;
   }
 
-  /// Sample every sensor at scaled simulation time `t`, corrupting the
-  /// readings of sensors with an active fault. `truth` follows the same
-  /// convention as SensorBank::sample (per-block prefix is read).
-  std::vector<double> sample(const std::vector<double>& truth, double t);
-
-  /// sample() into a caller-provided buffer (resized to the bank size);
-  /// the allocation-free hot-path variant, bit-identical to sample().
+  /// Sample every sensor at scaled simulation time `t` into `out`
+  /// (resized to the bank size), corrupting the readings of sensors
+  /// with an active fault. `truth` follows the same convention as
+  /// SensorBank::sample (per-block prefix is read). Allocation-free once
+  /// `out` has its size.
   void sample_into(const std::vector<double>& truth, double t,
                    std::vector<double>& out);
 

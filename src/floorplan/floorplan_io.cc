@@ -1,30 +1,10 @@
 #include "floorplan/floorplan_io.h"
 
-#include <cctype>
-#include <cmath>
-#include <deque>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/csv.h"
-#include "util/sync.h"
 
 namespace hydra::floorplan {
-namespace {
-
-/// Process-lifetime intern table so Block::name string_views stay valid.
-std::string_view intern(std::string s) {
-  static util::Mutex mu;
-  static std::deque<std::string> table;
-  const util::LockGuard lock(mu);
-  for (const std::string& existing : table) {
-    if (existing == s) return existing;
-  }
-  table.push_back(std::move(s));
-  return table.back();
-}
-
-}  // namespace
 
 std::string to_flp(const Floorplan& fp) {
   std::ostringstream out;
@@ -36,50 +16,6 @@ std::string to_flp(const Floorplan& fp) {
         << util::CsvWriter::format_double(b.y) << '\n';
   }
   return out.str();
-}
-
-Floorplan from_flp(std::string_view text) {
-  Floorplan fp;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream fields(line);
-    std::string name;
-    if (!(fields >> name)) continue;  // blank line
-    double w = 0.0;
-    double h = 0.0;
-    double x = 0.0;
-    double y = 0.0;
-    if (!(fields >> w >> h >> x >> y)) {
-      throw std::invalid_argument("flp line " + std::to_string(line_no) +
-                                  ": expected <name> <w> <h> <x> <y>");
-    }
-    std::string extra;
-    if (fields >> extra) {
-      throw std::invalid_argument("flp line " + std::to_string(line_no) +
-                                  ": unexpected trailing field '" + extra +
-                                  "'");
-    }
-    // Defence in depth: some standard libraries parse "nan"/"inf" via
-    // operator>>; geometry must be finite regardless.
-    if (!std::isfinite(w) || !std::isfinite(h) || !std::isfinite(x) ||
-        !std::isfinite(y)) {
-      throw std::invalid_argument("flp line " + std::to_string(line_no) +
-                                  ": non-finite geometry for block '" + name +
-                                  "'");
-    }
-    try {
-      fp.add(Block{intern(std::move(name)), x, y, w, h});
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("flp line " + std::to_string(line_no) +
-                                  ": " + e.what());
-    }
-  }
-  return fp;
 }
 
 }  // namespace hydra::floorplan

@@ -1,13 +1,12 @@
-// HotSpot-compatible .flp text serialisation.
+// HotSpot-compatible .flp text export.
 //
 // Format (one block per line):
 //   <name> <width_m> <height_m> <left_m> <bottom_m>
 // '#' starts a comment. This matches the de-facto HotSpot floorplan file
-// format so floorplans can be exchanged with existing tooling.
+// format so floorplans can be handed to existing tooling.
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "floorplan/floorplan.h"
 
@@ -15,11 +14,5 @@ namespace hydra::floorplan {
 
 /// Serialise to .flp text.
 std::string to_flp(const Floorplan& fp);
-
-/// Parse .flp text. Throws std::invalid_argument on malformed input.
-/// NOTE: parsed block names are owned by an internal string table that
-/// lives as long as the process (names are interned); this keeps Block a
-/// trivially copyable view type.
-Floorplan from_flp(std::string_view text);
 
 }  // namespace hydra::floorplan

@@ -42,11 +42,6 @@ void Counter::add(std::uint64_t n) const {
   reg_->add_counter(id_, n);
 }
 
-void Gauge::set(double v) const {
-  if (reg_ == nullptr || !reg_->enabled()) return;
-  reg_->set_gauge(id_, v);
-}
-
 void Histogram::record(double v) const {
   if (reg_ == nullptr || !reg_->enabled()) return;
   reg_->record_histogram(id_, v);
@@ -73,11 +68,6 @@ Registry::Shard& Registry::local_shard() {
 
 void Registry::add_counter(std::uint32_t id, std::uint64_t n) {
   local_shard().counters[id].fetch_add(n, std::memory_order_relaxed);
-}
-
-void Registry::set_gauge(std::uint32_t id, double v) {
-  gauges_[id].store(v, std::memory_order_relaxed);
-  gauge_set_[id].store(true, std::memory_order_relaxed);
 }
 
 void Registry::record_histogram(std::uint32_t id, double v) {
@@ -108,12 +98,6 @@ Counter Registry::counter(std::string_view name) {
   return Counter(this,
                  find_or_register(counter_names_, name, kMaxCounters,
                                   "counters"));
-}
-
-Gauge Registry::gauge(std::string_view name) {
-  const util::WriterLock lock(mu_);
-  return Gauge(this,
-               find_or_register(gauge_names_, name, kMaxGauges, "gauges"));
 }
 
 Histogram Registry::histogram(std::string_view name,
@@ -159,13 +143,6 @@ MetricsSnapshot Registry::scrape() const {
     snap.counters.emplace_back(counter_names_[i], total);
   }
 
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    if (gauge_set_[i].load(std::memory_order_relaxed)) {
-      snap.gauges.emplace_back(gauge_names_[i],
-                               gauges_[i].load(std::memory_order_relaxed));
-    }
-  }
-
   for (std::size_t i = 0; i < hist_names_.size(); ++i) {
     HistogramSnapshot h;
     h.name = hist_names_[i];
@@ -194,9 +171,6 @@ void Registry::write_csv(std::ostream& out) const {
   for (const auto& [name, value] : snap.counters) {
     csv.row({"counter", name, "total", std::to_string(value)});
   }
-  for (const auto& [name, value] : snap.gauges) {
-    csv.row({"gauge", name, "value", util::CsvWriter::format_double(value)});
-  }
   for (const HistogramSnapshot& h : snap.histograms) {
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       const std::string field =
@@ -218,8 +192,6 @@ void Registry::reset() {
     for (auto& b : shard->hist_buckets) b.store(0, std::memory_order_relaxed);
     for (auto& s : shard->hist_sums) s.store(0.0, std::memory_order_relaxed);
   }
-  for (auto& g : gauges_) g.store(0.0, std::memory_order_relaxed);
-  for (auto& s : gauge_set_) s.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace hydra::obs

@@ -1,5 +1,5 @@
-// Near-zero-overhead metrics: counters, gauges and fixed-bucket
-// histograms behind small value handles.
+// Near-zero-overhead metrics: counters and fixed-bucket histograms
+// behind small value handles.
 //
 // Hot-path contract (the reason this exists instead of a mutex + map):
 //  * record calls never allocate and never take a lock — each thread
@@ -54,19 +54,6 @@ class Counter {
   std::uint32_t id_ = 0;
 };
 
-/// Last-writer-wins instantaneous value (pool width, config knobs, ...).
-class Gauge {
- public:
-  Gauge() = default;
-  void set(double v) const;
-
- private:
-  friend class Registry;
-  Gauge(Registry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t id_ = 0;
-};
-
 /// Fixed-bucket histogram: bucket upper bounds are set at registration
 /// (value v lands in the first bucket with v <= bound, or the implicit
 /// overflow bucket). record() is wait-free and allocation-free.
@@ -95,14 +82,12 @@ struct HistogramSnapshot {
 /// Point-in-time merge of every metric in a registry.
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;  ///< set gauges only
   std::vector<HistogramSnapshot> histograms;
 };
 
 class Registry {
  public:
   static constexpr std::size_t kMaxCounters = 256;
-  static constexpr std::size_t kMaxGauges = 64;
   static constexpr std::size_t kMaxHistograms = 32;
   /// Finite bucket bounds per histogram (one overflow bucket is added).
   static constexpr std::size_t kMaxBounds = 15;
@@ -124,7 +109,6 @@ class Registry {
   /// std::invalid_argument when a histogram is re-registered with
   /// different bounds or `bounds` is empty/unsorted/too long.
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name, std::vector<double> bounds);
 
   MetricsSnapshot scrape() const;
@@ -139,7 +123,6 @@ class Registry {
 
  private:
   friend class Counter;
-  friend class Gauge;
   friend class Histogram;
 
   struct Shard {
@@ -155,7 +138,6 @@ class Registry {
   Shard& local_shard();
 
   void add_counter(std::uint32_t id, std::uint64_t n);
-  void set_gauge(std::uint32_t id, double v);
   void record_histogram(std::uint32_t id, double v);
 
   const std::uint64_t serial_;  ///< distinguishes registries in TLS caches
@@ -167,7 +149,6 @@ class Registry {
   /// against each other, only against registration.
   mutable util::SharedMutex mu_;
   std::vector<std::string> counter_names_ HYDRA_GUARDED_BY(mu_);
-  std::vector<std::string> gauge_names_ HYDRA_GUARDED_BY(mu_);
   std::vector<std::string> hist_names_ HYDRA_GUARDED_BY(mu_);
   // Deliberately unguarded: written exactly once at registration,
   // before the Histogram handle escapes, then read lock-free by
@@ -176,9 +157,6 @@ class Registry {
   std::array<std::array<double, kMaxBounds>, kMaxHistograms> hist_bounds_{};
   std::array<std::size_t, kMaxHistograms> hist_bound_count_{};
   std::vector<std::unique_ptr<Shard>> shards_ HYDRA_GUARDED_BY(mu_);
-
-  std::array<std::atomic<double>, kMaxGauges> gauges_{};
-  std::array<std::atomic<bool>, kMaxGauges> gauge_set_{};
 };
 
 }  // namespace hydra::obs

@@ -56,9 +56,6 @@ class EnergyModel {
                             floorplan::BlockId id, util::Volts voltage,
                             util::Hertz frequency) const;
 
-  /// Sum of peak powers (sanity/calibration aid).
-  util::Watts total_peak_watts() const;
-
  private:
   std::array<BlockEnergySpec, floorplan::kNumBlocks> specs_{};
   double v_nominal_ = 1.3;

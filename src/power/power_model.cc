@@ -34,14 +34,4 @@ void PowerModel::block_power_into(const arch::ActivityFrame& frame,
   }
 }
 
-util::Watts PowerModel::total_power(const arch::ActivityFrame& frame,
-                                    util::Volts voltage, util::Hertz frequency,
-                                    const std::vector<double>& celsius) const {
-  double total = 0.0;
-  for (double w : block_power(frame, voltage, frequency, celsius)) {
-    total += w;
-  }
-  return util::Watts(total);
-}
-
 }  // namespace hydra::power

@@ -38,11 +38,6 @@ class PowerModel {
                         const std::vector<double>& celsius,
                         std::vector<double>& watts) const;
 
-  /// Total of block_power().
-  util::Watts total_power(const arch::ActivityFrame& frame,
-                          util::Volts voltage, util::Hertz frequency,
-                          const std::vector<double>& celsius) const;
-
  private:
   EnergyModel energy_;
   LeakageModel leakage_;

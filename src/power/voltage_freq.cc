@@ -50,11 +50,6 @@ DvsLadder::DvsLadder(const VoltageFrequencyCurve& curve, std::size_t steps,
   }
 }
 
-DvsLadder DvsLadder::continuous(const VoltageFrequencyCurve& curve,
-                                double v_low_fraction) {
-  return DvsLadder(curve, 64, v_low_fraction);
-}
-
 std::size_t DvsLadder::level_at_or_below(util::Volts v) const {
   // Points are sorted by descending voltage; pick the first (fastest)
   // whose voltage does not exceed the request.

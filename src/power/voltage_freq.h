@@ -57,10 +57,6 @@ class DvsLadder {
   DvsLadder(const VoltageFrequencyCurve& curve, std::size_t steps,
             double v_low_fraction);
 
-  /// "Continuous" DVS approximated with a dense ladder (64 points).
-  static DvsLadder continuous(const VoltageFrequencyCurve& curve,
-                              double v_low_fraction);
-
   std::size_t size() const { return points_.size(); }
   const OperatingPoint& point(std::size_t level) const {
     return points_[level];

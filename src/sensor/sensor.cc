@@ -1,6 +1,5 @@
 #include "sensor/sensor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -53,11 +52,6 @@ double SensorBank::sample_one(std::size_t i, double truth) {
     v = std::round(v / cfg_.quantization.value()) * cfg_.quantization.value();
   }
   return v;
-}
-
-double SensorBank::sample_max(const std::vector<double>& truth) {
-  const std::vector<double> s = sample(truth);
-  return *std::max_element(s.begin(), s.end());
 }
 
 }  // namespace hydra::sensor

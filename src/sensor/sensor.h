@@ -56,9 +56,6 @@ class SensorBank {
   /// index.
   double sample_one(std::size_t i, double truth);
 
-  /// Convenience: maximum over sample().
-  double sample_max(const std::vector<double>& truth);
-
   std::size_t count() const { return offsets_.size(); }
   util::CelsiusDelta offset(std::size_t i) const {
     return util::CelsiusDelta(offsets_[i]);

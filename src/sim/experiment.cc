@@ -567,9 +567,4 @@ SuiteResult ExperimentRunner::run_suite(PolicyKind kind,
   return run_suites({SuiteSpec{kind, params, cfg}}).front();
 }
 
-SuiteResult ExperimentRunner::run_suite(PolicyKind kind,
-                                        const PolicyParams& params) {
-  return run_suite(kind, params, base_cfg_);
-}
-
 }  // namespace hydra::sim

@@ -173,7 +173,6 @@ class ExperimentRunner {
   /// Run the whole nine-benchmark suite.
   SuiteResult run_suite(PolicyKind kind, const PolicyParams& params,
                         const SimConfig& cfg);
-  SuiteResult run_suite(PolicyKind kind, const PolicyParams& params = {});
 
   /// Run many suites with all points in flight at once — the entry
   /// point the sweep benches use.
@@ -196,9 +195,6 @@ class ExperimentRunner {
   /// deterministic under arbitrary HYDRA_CACHE_DIR environments.
   void set_store(std::shared_ptr<PersistentRunCache> store) {
     cache_.set_store(std::move(store));
-  }
-  std::shared_ptr<PersistentRunCache> store() const {
-    return cache_.store();
   }
 
  private:

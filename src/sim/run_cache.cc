@@ -131,24 +131,9 @@ RunCache::Future RunCache::submit(
   return future;
 }
 
-RunCache::Future RunCache::submit(std::uint64_t key, util::ThreadPool& pool,
-                                  std::function<RunResult()> compute) {
-  return submit(
-      key, pool,
-      [compute = std::move(compute)](const util::CancelToken&) {
-        return compute();
-      },
-      JobOptions{});
-}
-
 void RunCache::set_store(std::shared_ptr<PersistentRunCache> store) {
   const util::LockGuard lock(mu_);
   store_ = std::move(store);
-}
-
-std::shared_ptr<PersistentRunCache> RunCache::store() const {
-  const util::LockGuard lock(mu_);
-  return store_;
 }
 
 RunCache::Stats RunCache::stats() const {
@@ -164,11 +149,6 @@ RunCache::Stats RunCache::stats() const {
   s.disk_hits = counters_->disk_hits.load(std::memory_order_relaxed);
   s.disk_stores = counters_->disk_stores.load(std::memory_order_relaxed);
   return s;
-}
-
-std::size_t RunCache::size() const {
-  const util::LockGuard lock(mu_);
-  return runs_.size();
 }
 
 }  // namespace hydra::sim

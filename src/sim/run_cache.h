@@ -88,17 +88,11 @@ class RunCache {
                 std::function<RunResult(const util::CancelToken&)> compute,
                 const JobOptions& opts);
 
-  /// Unsupervised convenience overload (no deadline, one attempt).
-  Future submit(std::uint64_t key, util::ThreadPool& pool,
-                std::function<RunResult()> compute);
-
   /// Attach the disk tier consulted/fed by misses. Affects only jobs
   /// enqueued after the call. Pass nullptr to detach.
   void set_store(std::shared_ptr<PersistentRunCache> store);
-  std::shared_ptr<PersistentRunCache> store() const;
 
   Stats stats() const;
-  std::size_t size() const;
 
  private:
   /// Lifecycle of a cached entry, advanced by the job itself. Shared

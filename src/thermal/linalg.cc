@@ -5,12 +5,6 @@
 
 namespace hydra::thermal {
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Vector Matrix::multiply(const Vector& x) const {
   Vector y;
   multiply_into(x, y);

@@ -133,10 +133,4 @@ CsrMatrix RcNetwork::conductance_csr() const {
   return g;
 }
 
-util::WattsPerKelvin RcNetwork::total_ambient_conductance() const {
-  double total = 0.0;
-  for (double g : ambient_conductance_) total += g;
-  return util::WattsPerKelvin(total);
-}
-
 }  // namespace hydra::thermal

@@ -53,9 +53,6 @@ class RcNetwork {
   /// asserts it.
   CsrMatrix conductance_csr() const;
 
-  /// Total conductance to ambient — for conservation checks.
-  util::WattsPerKelvin total_ambient_conductance() const;
-
  private:
   struct Edge {
     std::size_t a;

@@ -156,12 +156,7 @@ TransientSolver::TransientSolver(const RcNetwork& net, util::Celsius ambient,
                          : std::make_shared<const LuCache>(net)),
       rhs_(net.size()),
       rise_(net.size()),
-      k1_(net.size()),
-      k2_(net.size()),
-      k3_(net.size()),
-      k4_(net.size()),
       tmp_(net.size()),
-      flow_(net.size()),
       chol_work_(net.size()) {}
 
 void TransientSolver::set_temperatures(const Vector& celsius) {
@@ -201,9 +196,6 @@ void TransientSolver::step(const Vector& power, util::Seconds dt) {
       break;
     case Scheme::kFusedBE:
       step_fast(power, dt.value());
-      break;
-    case Scheme::kRk4:
-      step_rk4(power, dt.value());
       break;
   }
 }
@@ -304,34 +296,6 @@ bool TransientSolver::fast_candidate(const Vector& power, double dt) {
   matvec(fused_op_->n.data(), n, n, power.data(), rhs_.data());
   for (std::size_t i = 0; i < n; ++i) tmp_[i] += rhs_[i];
   return true;
-}
-
-void TransientSolver::derivative_into(const Vector& rise, const Vector& power,
-                                      Vector& d) {
-  const std::size_t n = net_->size();
-  lu_cache_->conductance_csr().multiply_into(rise.data(), flow_.data());
-  d.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    d[i] = (power[i] - flow_[i]) / net_->capacitance(i).value();
-  }
-}
-
-void TransientSolver::step_rk4(const Vector& power, double dt) {
-  const std::size_t n = net_->size();
-  for (std::size_t i = 0; i < n; ++i) rise_[i] = celsius_[i] - ambient_;
-
-  derivative_into(rise_, power, k1_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt / 2.0 * k1_[i];
-  derivative_into(tmp_, power, k2_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt / 2.0 * k2_[i];
-  derivative_into(tmp_, power, k3_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = rise_[i] + dt * k3_[i];
-  derivative_into(tmp_, power, k4_);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    rise_[i] += dt / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-    celsius_[i] = ambient_ + rise_[i];
-  }
 }
 
 }  // namespace hydra::thermal

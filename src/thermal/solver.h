@@ -43,7 +43,6 @@ enum class Scheme {
   kFusedBE,        ///< backward Euler via a precomputed step operator:
                    ///< two contiguous matvecs per step instead of a
                    ///< pivoted forward/back substitution
-  kRk4,            ///< explicit 4th-order; used for cross-validation
 };
 
 /// Precomputed backward-Euler step operator for one (rounded) dt. The
@@ -215,8 +214,6 @@ class TransientSolver {
   void step_backward_euler(const Vector& power, double dt);
   void step_fast(const Vector& power, double dt);
   bool fast_candidate(const Vector& power, double dt);
-  void step_rk4(const Vector& power, double dt);
-  void derivative_into(const Vector& rise, const Vector& power, Vector& d);
 
   const RcNetwork* net_;
   double ambient_;
@@ -241,7 +238,7 @@ class TransientSolver {
   // Preallocated scratch so the per-step hot path never allocates.
   Vector rhs_;
   Vector rise_;
-  Vector k1_, k2_, k3_, k4_, tmp_, flow_;
+  Vector tmp_;
   // Substitution scratch for the sparse step/steady solves.
   Vector chol_work_;
 };

@@ -38,40 +38,6 @@ std::string_view trim(std::string_view s) {
 
 }  // namespace
 
-Config Config::from_string(std::string_view text) {
-  Config cfg;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, nl == std::string_view::npos ? text.size() - pos
-                                                      : nl - pos);
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (!line.empty()) {
-      const std::size_t eq = line.find('=');
-      if (eq == std::string_view::npos) {
-        throw std::invalid_argument("config line " + std::to_string(line_no) +
-                                    ": expected key=value, got '" +
-                                    std::string(line) + "'");
-      }
-      const std::string_view key = trim(line.substr(0, eq));
-      const std::string_view value = trim(line.substr(eq + 1));
-      if (key.empty()) {
-        throw std::invalid_argument("config line " + std::to_string(line_no) +
-                                    ": empty key");
-      }
-      cfg.set(std::string(key), std::string(value));
-    }
-    if (nl == std::string_view::npos) break;
-    pos = nl + 1;
-  }
-  return cfg;
-}
-
 Config Config::from_args(const std::vector<std::string>& args) {
   Config cfg;
   for (const auto& arg : args) {
@@ -94,10 +60,6 @@ Config Config::from_args(const std::vector<std::string>& args) {
 
 void Config::set(std::string key, std::string value) {
   values_[std::move(key)] = std::move(value);
-}
-
-bool Config::contains(std::string_view key) const {
-  return values_.find(key) != values_.end();
 }
 
 std::optional<std::string> Config::find(std::string_view key) const {
@@ -146,17 +108,6 @@ bool Config::get_bool(std::string_view key, bool fallback) const {
   if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
   throw std::invalid_argument("config key '" + std::string(key) +
                               "': cannot parse '" + *v + "' as bool");
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
 }
 
 void Config::reject_unknown(const std::vector<std::string_view>& allowed,

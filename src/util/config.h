@@ -1,9 +1,8 @@
 // Minimal key/value configuration store.
 //
-// Experiments and examples accept `key=value` overrides (from argv or from
-// files with one pair per line, '#' comments). Typed getters fail loudly on
-// malformed values rather than silently defaulting, per the fail-fast
-// philosophy of the rest of the library.
+// Experiments and examples accept `key=value` overrides from argv. Typed
+// getters fail loudly on malformed values rather than silently
+// defaulting, per the fail-fast philosophy of the rest of the library.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +19,6 @@ class Config {
  public:
   Config() = default;
 
-  /// Parse "key=value" pairs, one per line; '#' starts a comment; blank
-  /// lines ignored. Throws std::invalid_argument on malformed lines.
-  static Config from_string(std::string_view text);
-
   /// Parse argv-style overrides ("key=value" each). Leading dashes are
   /// dropped and '-' in a key reads as '_' ("--cache-dir=x" sets
   /// cache_dir). Unrecognised shapes throw std::invalid_argument.
@@ -32,17 +27,12 @@ class Config {
   /// Set/overwrite a key.
   void set(std::string key, std::string value);
 
-  bool contains(std::string_view key) const;
-
   /// Typed getters: return the parsed value, or `fallback` when the key is
   /// absent. Throw std::invalid_argument when present but unparseable.
   std::string get_string(std::string_view key, std::string fallback) const;
   double get_double(std::string_view key, double fallback) const;
   long long get_int(std::string_view key, long long fallback) const;
   bool get_bool(std::string_view key, bool fallback) const;
-
-  /// All keys in sorted order (for diagnostics).
-  std::vector<std::string> keys() const;
 
   /// Fail fast on option typos: throw std::invalid_argument when this
   /// config holds a key outside `allowed`. The message is a one-line
@@ -52,9 +42,6 @@ class Config {
   void reject_unknown(
       const std::vector<std::string_view>& allowed,
       std::source_location where = std::source_location::current()) const;
-
-  /// Merge `other` into this config; other's values win on conflict.
-  void merge(const Config& other);
 
  private:
   std::optional<std::string> find(std::string_view key) const;

@@ -27,24 +27,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double nt = na + nb;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  mean_ = (na * mean_ + nb * other.mean_) / nt;
-  sum_ += other.sum_;
-  n_ += other.n_;
-  if (other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-}
-
 double paired_t_statistic(std::span<const double> a,
                           std::span<const double> b) {
   assert(a.size() == b.size());
@@ -73,37 +55,6 @@ double confidence_half_width_99(std::span<const double> xs) {
   for (double x : xs) s.add(x);
   const double se = s.stddev() / std::sqrt(static_cast<double>(s.count()));
   return t_critical_99(s.count() - 1) * se;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo);
-  assert(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long long>(std::floor((x - lo_) / width));
-  if (idx < 0) idx = 0;
-  if (idx >= static_cast<long long>(counts_.size())) {
-    idx = static_cast<long long>(counts_.size()) - 1;
-  }
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::fraction_at_or_above(double x) const {
-  if (total_ == 0) return 0.0;
-  std::size_t above = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (bin_lo(i) >= x) above += counts_[i];
-  }
-  return static_cast<double>(above) / static_cast<double>(total_);
 }
 
 }  // namespace hydra::util

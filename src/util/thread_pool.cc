@@ -6,27 +6,10 @@ namespace hydra::util {
 
 namespace {
 std::atomic<void (*)(std::size_t)> g_worker_start_hook{nullptr};
-std::atomic<void (*)(const char*)> g_job_failure_hook{nullptr};
-std::atomic<std::uint64_t> g_contained_exceptions{0};
-
-void report_contained(const char* what) {
-  g_contained_exceptions.fetch_add(1, std::memory_order_relaxed);
-  if (auto* hook = g_job_failure_hook.load(std::memory_order_acquire)) {
-    hook(what);
-  }
-}
 }  // namespace
 
 void ThreadPool::set_worker_start_hook(void (*hook)(std::size_t)) {
   g_worker_start_hook.store(hook, std::memory_order_release);
-}
-
-void ThreadPool::set_job_failure_hook(void (*hook)(const char*)) {
-  g_job_failure_hook.store(hook, std::memory_order_release);
-}
-
-std::uint64_t ThreadPool::contained_exceptions() {
-  return g_contained_exceptions.load(std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -102,13 +85,11 @@ void ThreadPool::worker_loop(std::size_t self) {
       // Contain anything that escapes a raw job: letting it propagate
       // would std::terminate the process and take every sibling job
       // down with it. Supervised work (RunCache, async) captures its
-      // own exceptions; this is the backstop for everything else.
+      // own exceptions and reports them through futures; this is the
+      // backstop for everything else, and it keeps the worker alive.
       try {
         job();
-      } catch (const std::exception& e) {
-        report_contained(e.what());
       } catch (...) {
-        report_contained("unknown exception");
       }
       continue;
     }

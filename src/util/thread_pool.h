@@ -13,8 +13,7 @@
 // Jobs should not throw (wrap work in std::packaged_task — async() below
 // does this — so exceptions travel through the future instead); one that
 // does anyway is contained by the worker loop rather than taking the
-// process down with std::terminate — the escape is counted, reported
-// through the failure hook, and the worker keeps serving jobs.
+// process down with std::terminate, and the worker keeps serving jobs.
 #pragma once
 
 #include <atomic>
@@ -86,17 +85,6 @@ class ThreadPool {
   /// the hook is installed never see it, so install it before the first
   /// ThreadPool is created (obs does this on first use).
   static void set_worker_start_hook(void (*hook)(std::size_t));
-
-  /// Process-wide hook invoked when an exception escapes a raw submitted
-  /// job (async() jobs never trip it — packaged_task captures theirs).
-  /// Installed by the observability layer to count the containment;
-  /// `what` is the exception message (or "unknown exception").
-  static void set_job_failure_hook(void (*hook)(const char* what));
-
-  /// Number of exceptions contained by worker loops process-wide. A
-  /// nonzero value means a raw submit() job threw — supervised paths
-  /// (RunCache) route failures through futures and never show up here.
-  static std::uint64_t contained_exceptions();
 
  private:
   // Cache-line aligned so two workers hammering adjacent per-worker

@@ -5,15 +5,13 @@
 // repeated System::run() make no heap allocation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "counting_new.h"
 #include "floorplan/ev7.h"
 #include "floorplan/multicore.h"
 #include "obs/obs.h"
@@ -24,27 +22,10 @@
 #include "thermal/solver.h"
 #include "workload/spec_profiles.h"
 
-// Global allocation counter so the hot-path tests can assert record
-// calls and warmed engine paths never allocate.
-static std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace hydra::obs {
 namespace {
 
-std::uint64_t allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
+std::uint64_t allocs() { return hydra::test_support::heap_allocs(); }
 
 TEST(Metrics, CounterConcurrentIncrements) {
   Registry reg;
@@ -127,17 +108,6 @@ TEST(Metrics, HistogramReboundThrows) {
   EXPECT_THROW((void)reg.histogram("empty", {}), std::invalid_argument);
 }
 
-TEST(Metrics, GaugeLastWriterWins) {
-  Registry reg;
-  reg.set_enabled(true);
-  const Gauge g = reg.gauge("test.width");
-  g.set(4.0);
-  g.set(8.0);
-  const MetricsSnapshot snap = reg.scrape();
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].second, 8.0);
-}
-
 // The reason the layer can be compiled into every hot loop: with the
 // registry/tracer disabled, record calls are a relaxed load + branch and
 // must never allocate.
@@ -145,14 +115,12 @@ TEST(Metrics, DisabledRecordPathIsAllocationFree) {
   Registry reg;
   const Counter c = reg.counter("off.counter");
   const Histogram h = reg.histogram("off.hist", {1.0, 10.0});
-  const Gauge g = reg.gauge("off.gauge");
   ASSERT_FALSE(reg.enabled());
 
   const std::uint64_t before = allocs();
   for (int i = 0; i < 100'000; ++i) {
     c.add();
     h.record(static_cast<double>(i));
-    g.set(static_cast<double>(i));
   }
   EXPECT_EQ(allocs() - before, 0u);
 }

@@ -92,12 +92,6 @@ TEST(DvsLadder, LevelAtOrBelowQuantisesConservatively) {
   EXPECT_EQ(ladder.level_at_or_below(Volts(0.5)), ladder.lowest_level());
 }
 
-TEST(DvsLadder, ContinuousIsDense) {
-  const VoltageFrequencyCurve curve;
-  const DvsLadder ladder = DvsLadder::continuous(curve, 0.85);
-  EXPECT_GE(ladder.size(), 32u);
-}
-
 TEST(DvsLadder, RejectsBadArguments) {
   const VoltageFrequencyCurve curve;
   EXPECT_THROW(DvsLadder(curve, 1, 0.85), std::invalid_argument);
@@ -250,20 +244,6 @@ TEST(PowerModel, CombinesDynamicAndLeakage) {
                             pm.leakage().power(id, 85.0, Volts(1.3)).value();
     EXPECT_NEAR(watts[i], expected, 1e-12);
   }
-}
-
-TEST(PowerModel, TotalMatchesSum) {
-  const auto fp = floorplan::ev7_floorplan();
-  const PowerModel pm(fp, EnergyModel{});
-  arch::ActivityFrame f;
-  f.cycles = 100;
-  f.clocked_cycles = 100;
-  f.add(BlockId::kIntReg, 300);
-  const std::vector<double> temps(floorplan::kNumBlocks, 80.0);
-  const auto watts = pm.block_power(f, Volts(1.3), Hertz(3.0e9), temps);
-  double sum = 0.0;
-  for (double w : watts) sum += w;
-  EXPECT_NEAR(pm.total_power(f, Volts(1.3), Hertz(3.0e9), temps).value(), sum, 1e-12);
 }
 
 TEST(PowerModel, RejectsShortTemperatureVector) {

@@ -7,6 +7,7 @@
 
 #include "floorplan/ev7.h"
 #include "power/voltage_freq.h"
+#include "rk4_reference.h"
 #include "thermal/linalg.h"
 #include "thermal/model_builder.h"
 #include "thermal/rc_network.h"
@@ -99,7 +100,7 @@ TEST_P(RandomNetworkSweep, BackwardEulerAgreesWithRk4) {
 
   thermal::TransientSolver be(net, util::Celsius(45.0),
                               thermal::Scheme::kBackwardEuler);
-  thermal::TransientSolver rk(net, util::Celsius(45.0), thermal::Scheme::kRk4);
+  thermal::Rk4Reference rk(net, util::Celsius(45.0));
   for (int i = 0; i < 3000; ++i) {
     be.step(p, util::Seconds(0.002));
     rk.step(p, util::Seconds(0.002));

@@ -63,14 +63,18 @@ RunResult tiny_result(const std::string& tag) {
 TEST(JobSupervision, ThrowingJobFailsFastAndResubmitRecomputes) {
   util::ThreadPool pool(2);
   RunCache cache;
-  auto failed = cache.submit(42, pool, []() -> RunResult {
-    throw std::runtime_error("injected job failure");
-  });
+  auto failed = cache.submit(
+      42, pool,
+      [](const util::CancelToken&) -> RunResult {
+        throw std::runtime_error("injected job failure");
+      },
+      {});
   EXPECT_THROW(failed.get(), std::runtime_error);
 
   // The key must not be poisoned: resubmission recomputes and succeeds.
   auto ok = cache.submit(
-      42, pool, []() -> RunResult { return tiny_result("recomputed"); });
+      42, pool,
+      [](const util::CancelToken&) { return tiny_result("recomputed"); }, {});
   EXPECT_EQ(ok.get()->benchmark, "recomputed");
 
   const RunCache::Stats stats = cache.stats();
@@ -83,10 +87,13 @@ TEST(JobSupervision, ThrowingJobDoesNotBlockSiblings) {
   RunCache cache;
   std::vector<RunCache::Future> futures;
   for (std::uint64_t key = 0; key < 8; ++key) {
-    futures.push_back(cache.submit(key, pool, [key]() -> RunResult {
-      if (key == 3) throw std::runtime_error("one bad job");
-      return tiny_result("job-" + std::to_string(key));
-    }));
+    futures.push_back(cache.submit(
+        key, pool,
+        [key](const util::CancelToken&) -> RunResult {
+          if (key == 3) throw std::runtime_error("one bad job");
+          return tiny_result("job-" + std::to_string(key));
+        },
+        {}));
   }
   for (std::uint64_t key = 0; key < 8; ++key) {
     if (key == 3) {
@@ -98,7 +105,8 @@ TEST(JobSupervision, ThrowingJobDoesNotBlockSiblings) {
   }
   // Workers must all still be alive after the contained unwind.
   auto after = cache.submit(
-      99, pool, []() -> RunResult { return tiny_result("after"); });
+      99, pool,
+      [](const util::CancelToken&) { return tiny_result("after"); }, {});
   EXPECT_EQ(after.get()->benchmark, "after");
 }
 

@@ -112,11 +112,6 @@ TEST(SensorBank, DeterministicForSeed) {
   }
 }
 
-TEST(SensorBank, SampleMaxMatchesMaxOfSample) {
-  SensorBank bank(3, quiet());
-  EXPECT_DOUBLE_EQ(bank.sample_max({80.0, 85.0, 82.0}), 85.0);
-}
-
 TEST(SensorBank, RejectsBadConfig) {
   SensorConfig cfg;
   cfg.sample_rate = Hertz(0.0);

@@ -210,7 +210,7 @@ TEST(Experiment, SuiteAggregatesNineBenchmarks) {
   cfg.run_instructions = 150'000;  // keep this one quick
   cfg.warmup_instructions = 60'000;
   ExperimentRunner runner(cfg);
-  const SuiteResult suite = runner.run_suite(PolicyKind::kHybrid, {});
+  const SuiteResult suite = runner.run_suite(PolicyKind::kHybrid, {}, cfg);
   EXPECT_EQ(suite.per_benchmark.size(), 9u);
   EXPECT_GE(suite.mean_slowdown, 1.0);
   EXPECT_GE(suite.ci99_half_width, 0.0);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "floorplan/ev7.h"
+#include "rk4_reference.h"
 #include "thermal/linalg.h"
 #include "thermal/model_builder.h"
 #include "thermal/package.h"
@@ -26,7 +27,8 @@ using util::Seconds;
 
 // ----------------------------------------------------------------- linalg
 TEST(Linalg, IdentitySolve) {
-  const Matrix i3 = Matrix::identity(3);
+  Matrix i3(3, 3);
+  for (std::size_t k = 0; k < 3; ++k) i3(k, k) = 1.0;
   const Vector b = {1.0, 2.0, 3.0};
   const Vector x = solve_linear(i3, b);
   for (int k = 0; k < 3; ++k) EXPECT_DOUBLE_EQ(x[k], b[k]);
@@ -232,7 +234,12 @@ TEST(RcNetwork, ConductanceMatrixStructure) {
   EXPECT_DOUBLE_EQ(g(1, 1), 0.5);
   EXPECT_DOUBLE_EQ(g(0, 1), -0.5);
   EXPECT_DOUBLE_EQ(g(1, 0), -0.5);
-  EXPECT_DOUBLE_EQ(net.total_ambient_conductance().value(), 0.25);
+  // The edge terms cancel across G, leaving the ambient ties.
+  double g_sum = 0.0;
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) g_sum += g(r, c);
+  }
+  EXPECT_DOUBLE_EQ(g_sum, 0.25);
 }
 
 TEST(RcNetwork, ParallelResistancesAccumulate) {
@@ -260,7 +267,7 @@ TEST(Solver, SingleNodeTransientExponential) {
   RcNetwork net;
   net.add_node("n", JoulesPerKelvin(2.0));           // C = 2
   net.connect_to_ambient(0, KelvinPerWatt(3.0));   // R = 3, tau = 6 s
-  TransientSolver solver(net, Celsius(45.0), Scheme::kRk4);
+  Rk4Reference solver(net, Celsius(45.0));
   const double power = 5.0;
   // Step for one tau in small increments; expect 1 - e^-1 of the rise.
   const double tau = 6.0;
@@ -279,7 +286,7 @@ TEST(Solver, BackwardEulerMatchesRk4) {
   net.connect(a, b, KelvinPerWatt(2.0));
   net.connect_to_ambient(b, KelvinPerWatt(1.0));
   TransientSolver be(net, Celsius(40.0), Scheme::kBackwardEuler);
-  TransientSolver rk(net, Celsius(40.0), Scheme::kRk4);
+  Rk4Reference rk(net, Celsius(40.0));
   const Vector p = {3.0, 0.5};
   for (int i = 0; i < 2000; ++i) {
     be.step(p, Seconds(0.01));
@@ -380,9 +387,8 @@ TEST_F(ModelBuilderTest, SteadyStateConservesHeat) {
   Vector p(fp_.size(), 0.0);
   p[static_cast<std::size_t>(BlockId::kIntReg)] = 10.0;
   const Vector t = steady_state(model_.network, model_.expand_power(p), Celsius(45.0));
-  // Heat out = sum over ambient-connected nodes of g_i * rise_i.
-  // total_ambient_conductance * mean weighted rise == 10 W.
-  // Verify via an energy-balance reconstruction:
+  // Heat out = sum over ambient-connected nodes of g_i * rise_i, which
+  // is the sum of G rise (the edge terms cancel). Verify that balance:
   const Matrix g = model_.network.conductance_matrix();
   Vector rise(t.size());
   for (std::size_t i = 0; i < t.size(); ++i) rise[i] = t[i] - 45.0;

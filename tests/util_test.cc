@@ -1,14 +1,22 @@
-// Unit tests for src/util: units, rng, stats, config, csv, table.
+// Unit tests for src/util: units, rng, stats, config, csv, table, json,
+// thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/config.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace hydra::util {
@@ -129,37 +137,6 @@ TEST(RunningStats, KnownValues) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.gaussian(3.0, 2.0);
-    ((i % 2 == 0) ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(Stats, PairedTStatisticKnown) {
   // Differences all equal: sd = 0 -> conventionally returns 0? No:
   // constant non-zero differences are infinitely significant, but our
@@ -193,34 +170,16 @@ TEST(Stats, ConfidenceHalfWidthShrinksWithN) {
             confidence_half_width_99(large));
 }
 
-TEST(Histogram, BinningAndFractions) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bin_count(i), 1u);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.fraction_at_or_above(100.0), 0.0);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(3), 1u);
-}
-
 // --------------------------------------------------------------- config
 TEST(Config, ParsesKeyValues) {
-  const auto cfg = Config::from_string("a = 1\nb= hello # comment\n\n#x\n");
+  const auto cfg = Config::from_args({"a = 1", "b= hello", "b=hi"});
   EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_string("b", ""), "hello");
-  EXPECT_FALSE(cfg.contains("x"));
+  EXPECT_EQ(cfg.get_string("b", ""), "hi");  // the last spelling wins
+  EXPECT_EQ(cfg.get_string("x", "unset"), "unset");
 }
 
 TEST(Config, TypedGettersAndFallbacks) {
-  auto cfg = Config::from_string("d=2.5\nflag=true\nn=-7");
+  auto cfg = Config::from_args({"d=2.5", "flag=true", "n=-7"});
   EXPECT_DOUBLE_EQ(cfg.get_double("d", 0.0), 2.5);
   EXPECT_TRUE(cfg.get_bool("flag", false));
   EXPECT_EQ(cfg.get_int("n", 0), -7);
@@ -229,26 +188,16 @@ TEST(Config, TypedGettersAndFallbacks) {
 }
 
 TEST(Config, MalformedValuesThrow) {
-  auto cfg = Config::from_string("d=abc\nb=maybe\nn=1.5");
+  auto cfg = Config::from_args({"d=abc", "b=maybe", "n=1.5"});
   EXPECT_THROW(cfg.get_double("d", 0.0), std::invalid_argument);
   EXPECT_THROW(cfg.get_bool("b", false), std::invalid_argument);
   EXPECT_THROW(cfg.get_int("n", 0), std::invalid_argument);
 }
 
 TEST(Config, MalformedLinesThrow) {
-  EXPECT_THROW(Config::from_string("novalue\n"), std::invalid_argument);
-  EXPECT_THROW(Config::from_string("=x\n"), std::invalid_argument);
-}
-
-TEST(Config, FromArgsAndMerge) {
-  auto cfg = Config::from_args({"a=1", "b=2"});
-  auto other = Config::from_args({"b=3", "c=4"});
-  cfg.merge(other);
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_int("b", 0), 3);
-  EXPECT_EQ(cfg.get_int("c", 0), 4);
-  EXPECT_EQ(cfg.keys().size(), 3u);
-  EXPECT_THROW(Config::from_args({"bad"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"novalue"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"=x"}), std::invalid_argument);
+  EXPECT_THROW(Config::from_args({"--=x"}), std::invalid_argument);
 }
 
 TEST(Config, FromArgsMapsDashesInKeysToUnderscores) {
@@ -260,8 +209,8 @@ TEST(Config, FromArgsMapsDashesInKeysToUnderscores) {
   EXPECT_EQ(cfg.get_string("cache_dir", ""), "run-cache");
   EXPECT_EQ(cfg.get_string("summary_json", ""), "s-1.json");
   EXPECT_EQ(cfg.get_string("trace", ""), "t.json");
-  EXPECT_FALSE(cfg.contains("workload-threads"));
-  EXPECT_EQ(cfg.keys().size(), 4u);
+  EXPECT_EQ(cfg.get_string("workload-threads", "unset"), "unset");
+  // Exactly the four underscore keys: any leftover dashed key is unknown.
   EXPECT_NO_THROW(cfg.reject_unknown(
       {"workload_threads", "cache_dir", "summary_json", "trace"}));
 }
@@ -303,6 +252,73 @@ TEST(Table, AlignsColumns) {
 TEST(Table, NumberFormatting) {
   EXPECT_EQ(AsciiTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(AsciiTable::percent(0.256, 1), "25.6%");
+}
+
+// ---------------------------------------------------------- thread pool
+// A raw submit() job that throws is contained by the worker loop: the
+// only worker of a width-1 pool survives it and runs the next job.
+TEST(ThreadPool, ThrowingRawJobLeavesWorkerServing) {
+  ThreadPool pool(1);
+  pool.submit([] { throw std::runtime_error("raw job failure"); });
+  pool.submit([] { throw 42; });  // not a std::exception either
+  std::promise<int> ran;
+  std::future<int> later = ran.get_future();
+  pool.submit([&ran] { ran.set_value(7); });
+  ASSERT_EQ(later.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(later.get(), 7);
+}
+
+// ------------------------------------------------------------------ json
+TEST(Json, ScalarsAndNesting) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_object();
+  w.key("name").value("crafty");
+  w.key("slowdown").value(1.5);
+  w.key("count").value(42);
+  w.key("safe").value(true);
+  w.key("tags").begin_array();
+  w.value("a");
+  w.value("b");
+  w.end_array();
+  w.end_object();
+  const std::string s = out.str();
+  EXPECT_NE(s.find("\"name\": \"crafty\""), std::string::npos);
+  EXPECT_NE(s.find("\"slowdown\": 1.5"), std::string::npos);
+  EXPECT_NE(s.find("\"count\": 42"), std::string::npos);
+  EXPECT_NE(s.find("\"safe\": true"), std::string::npos);
+  EXPECT_NE(s.find("\"a\""), std::string::npos);
+}
+
+TEST(Json, EscapesSpecials) {
+  EXPECT_EQ(util::JsonWriter::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(util::JsonWriter::escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(util::JsonWriter::escape("a\nb"), "a\\nb");
+  EXPECT_EQ(util::JsonWriter::escape(std::string("a\x01") + "b"),
+            "a\\u0001b");
+}
+
+TEST(Json, CommasBetweenSiblingsOnly) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_array();
+  w.value(1.0);
+  w.value(2.0);
+  w.value(3.0);
+  w.end_array();
+  std::string s = out.str();
+  // Exactly two commas for three siblings.
+  EXPECT_EQ(std::count(s.begin(), s.end(), ','), 2);
+}
+
+TEST(Json, NonFiniteBecomesNull) {
+  std::ostringstream out;
+  util::JsonWriter w(out, 0);
+  w.begin_array();
+  w.value(std::numeric_limits<double>::infinity());
+  w.end_array();
+  EXPECT_NE(out.str().find("null"), std::string::npos);
 }
 
 }  // namespace

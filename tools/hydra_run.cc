@@ -162,11 +162,6 @@ void emit_summary(std::ostream& os,
     w.key(name).value(count);
   }
   w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, value] : snap.gauges) {
-    w.key(name).value(value);
-  }
-  w.end_object();
   w.end_object();
   os << '\n';
 }
